@@ -37,9 +37,7 @@ from .crypto import (
     SYM_NONCE_LEN,
     Scalar,
     SystemParams,
-    hmac_tag,
     kdf,
-    macs_equal,
     rand_zq_star,
     schnorr_verify,
     sym_decrypt,
@@ -55,6 +53,7 @@ from .errors import (
     StaleTimestamp,
 )
 from .registry import NodeCredentials, VehicleEpoch, beacon_signed_bytes
+from .wire import Channel
 
 GK_FID_CT_LEN = SYM_NONCE_LEN + PSEUDONYM_LEN  # the hello field is size-invariant
 
@@ -87,26 +86,9 @@ class AuthSession:
     k_rsu: GElem = 0
 
 
-# ---------------------------------------------------------------------------
-# Channel keys derived from the hello nonce
-# ---------------------------------------------------------------------------
-
-
-def n1_enc_key(n1: Scalar) -> bytes:
-    return kdf(n1, b"n1:enc")
-
-
-def n1_mac_key(n1: Scalar) -> bytes:
-    return kdf(n1, b"n1:mac")
-
-
 def gk_fid_key(gk: GElem) -> bytes:
+    """Key of the hello's fast-path field: the pseudonym under a neighbor gk."""
     return kdf(gk, b"gk:fid")
-
-
-def _check_mac(params: SystemParams, msg, key: bytes) -> None:
-    if not macs_equal(msg.mac, hmac_tag(key, wire.mac_input(msg, params.element_width))):
-        raise MacFail(f"bad mac on {type(msg).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +185,11 @@ def make_hello(
     epk, kem_ct = hybrid_encrypt(
         params, session.pk_rsu, session.fid + params.encode_elem(session.n1), rng
     )
-    msg = wire.AuthHello(
-        pk_v=session.pk_v,
-        ts_ms=now_ms,
-        gk_fid_ct=gk_fid_ct,
-        kem_epk=epk,
-        kem_ct=kem_ct,
-        mac=bytes(16),
+    hello = Channel.derive(session.n1, b"n1").tag(
+        params.element_width, wire.AuthHello, session.pk_v, now_ms, gk_fid_ct, epk, kem_ct
     )
-    mac = hmac_tag(n1_mac_key(session.n1), wire.mac_input(msg, params.element_width))
     session.state = AuthState.HELLO_SENT
-    return wire.AuthHello(msg.pk_v, msg.ts_ms, msg.gk_fid_ct, msg.kem_epk, msg.kem_ct, mac)
+    return hello
 
 
 def process_hello(
@@ -239,7 +215,8 @@ def process_hello(
     n1 = params.decode_elem(plain[PSEUDONYM_LEN:])
     if not 1 <= n1 < params.q:
         raise DecryptFail("hello nonce outside the scalar range")
-    _check_mac(params, hello, n1_mac_key(n1))
+    channel = Channel.derive(n1, b"n1")
+    channel.check(params.element_width, hello)
 
     session = AuthSession(
         state=AuthState.HELLO_SENT, fid=fid, pk_v=hello.pk_v, n1=n1, ts_ms=hello.ts_ms
@@ -254,15 +231,14 @@ def process_hello(
     session.alpha = rand_zq_star(rng, params.q)
     t_rsu = params.g1_mul(session.alpha, 1)
     n1_qr = params.g1_mul(n1, rsu_creds.q_u)
-    ct = sym_encrypt(
-        n1_enc_key(n1),
+    challenge = channel.seal(
+        params.element_width,
+        wire.AuthChallenge,
         params.encode_elem(t_rsu) + params.encode_elem(n1_qr),
         rng,
     )
-    msg = wire.AuthChallenge(ct=ct, mac=bytes(16))
-    mac = hmac_tag(n1_mac_key(n1), wire.mac_input(msg, params.element_width))
     session.state = AuthState.CHALLENGED
-    return session, wire.AuthChallenge(ct, mac)
+    return session, challenge
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +255,8 @@ def vehicle_confirm(
 ) -> wire.AuthConfirm:
     if session.state is not AuthState.HELLO_SENT:
         raise StateError(f"confirm invalid in state {session.state.value}")
-    _check_mac(params, challenge, n1_mac_key(session.n1))
-    plain = sym_decrypt(n1_enc_key(session.n1), challenge.ct)
+    channel = Channel.derive(session.n1, b"n1")
+    plain = channel.open(params.element_width, challenge)
     if len(plain) != 2 * params.element_width:
         raise DecryptFail("challenge payload has wrong length")
     t_rsu = params.decode_elem(plain[: params.element_width])
@@ -294,18 +270,17 @@ def vehicle_confirm(
         params.pair(params.g1_mul(session.beta, n1_qr), params.pk_ta_g1),
         params.pair(params.g1_mul(session.n1, creds.s_u), t_rsu),
     )
-    ct = sym_encrypt(
-        n1_enc_key(session.n1),
+    confirm = channel.seal(
+        params.element_width,
+        wire.AuthConfirm,
         session.fid
         + params.encode_elem(t_v)
         + params.encode_elem(params.g1_mul(session.n1, creds.q_u))
         + params.encode_elem(session.k_v),
         rng,
     )
-    msg = wire.AuthConfirm(ct=ct, mac=bytes(16))
-    mac = hmac_tag(n1_mac_key(session.n1), wire.mac_input(msg, params.element_width))
     session.state = AuthState.CONFIRMED
-    return wire.AuthConfirm(ct, mac)
+    return confirm
 
 
 def rsu_verify(
@@ -317,8 +292,7 @@ def rsu_verify(
     """Final check: recompute the confirmation value and compare."""
     if session.state is not AuthState.CHALLENGED:
         raise StateError(f"verify invalid in state {session.state.value}")
-    _check_mac(params, confirm, n1_mac_key(session.n1))
-    plain = sym_decrypt(n1_enc_key(session.n1), confirm.ct)
+    plain = Channel.derive(session.n1, b"n1").open(params.element_width, confirm)
     if len(plain) != PSEUDONYM_LEN + 3 * params.element_width:
         raise DecryptFail("confirm payload has wrong length")
     w = params.element_width
@@ -356,9 +330,7 @@ def is_authenticated(session: AuthSession) -> bool:
 def make_fastpath_ack(params: SystemParams, session: AuthSession) -> wire.AuthChallenge:
     if session.state is not AuthState.FASTPATH_DONE:
         raise StateError("ack only follows a fast-path admission")
-    msg = wire.AuthChallenge(ct=b"", mac=bytes(16))
-    mac = hmac_tag(n1_mac_key(session.n1), wire.mac_input(msg, params.element_width))
-    return wire.AuthChallenge(b"", mac)
+    return Channel.derive(session.n1, b"n1").tag(params.element_width, wire.AuthChallenge, b"")
 
 
 def is_fastpath_ack(msg: wire.AuthChallenge) -> bool:
@@ -370,5 +342,5 @@ def vehicle_apply_fastpath_ack(
 ) -> None:
     if session.state is not AuthState.HELLO_SENT:
         raise StateError(f"ack invalid in state {session.state.value}")
-    _check_mac(params, msg, n1_mac_key(session.n1))
+    Channel.derive(session.n1, b"n1").check(params.element_width, msg)
     session.state = AuthState.FASTPATH_DONE

@@ -35,7 +35,8 @@ from .crypto import (
     sym_encrypt,
 )
 from .errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
-from .groupkey import GroupState, MemberState, _open, _seal, gk_enc_key, gk_mac_key
+from .groupkey import GroupState, MemberState
+from .wire import Channel
 
 # fixed one-to-one request constant recognized by the RSU
 VVK_REQUEST = b"VVK-REQ\x00"
@@ -91,13 +92,8 @@ def broadcast(
     payload: bytes,
     rng: random.Random,
 ) -> wire.GroupBroadcast:
-    return _seal(
-        params,
-        wire.GroupBroadcast,
-        gk_enc_key(gk),
-        gk_mac_key(gk),
-        sender_fid + payload,
-        rng,
+    return Channel.derive(gk, b"gk").seal(
+        params.element_width, wire.GroupBroadcast, sender_fid + payload, rng
     )
 
 
@@ -105,7 +101,7 @@ def open_broadcast(
     params: SystemParams, gk: GElem, msg: wire.GroupBroadcast
 ) -> tuple[bytes, bytes]:
     """Returns (sender fid, payload); MacFail under a stale group key."""
-    plain = _open(params, msg, gk_enc_key(gk), gk_mac_key(gk))
+    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
     if len(plain) < PSEUDONYM_LEN:
         raise DecryptFail("broadcast shorter than a pseudonym")
     return plain[:PSEUDONYM_LEN], plain[PSEUDONYM_LEN:]
@@ -119,14 +115,13 @@ def open_broadcast(
 def to_rsu(
     params: SystemParams, member: MemberState, payload: bytes, rng: random.Random
 ) -> wire.UplinkMessage:
-    ct = sym_encrypt(kdf(member.n1, b"n1:enc"), payload, rng)
-    msg = wire.UplinkMessage(fid=member.fid, ct=ct, mac=bytes(16))
-    mac = hmac_tag(kdf(member.n1, b"n1:mac"), wire.mac_input(msg, params.element_width))
-    return wire.UplinkMessage(member.fid, ct, mac)
+    return Channel.derive(member.n1, b"n1").seal(
+        params.element_width, wire.UplinkMessage, payload, rng, member.fid
+    )
 
 
 def rsu_open_uplink(params: SystemParams, n1: Scalar, msg: wire.UplinkMessage) -> bytes:
-    return _open(params, msg, kdf(n1, b"n1:enc"), kdf(n1, b"n1:mac"))
+    return Channel.derive(n1, b"n1").open(params.element_width, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +134,8 @@ def request_directory(
 ) -> wire.DirectoryRequest:
     if member.gk is None:
         raise MacFail("requester holds no group key")
-    return _seal(
-        params,
-        wire.DirectoryRequest,
-        gk_enc_key(member.gk),
-        gk_mac_key(member.gk),
-        VVK_REQUEST + member.fid,
-        rng,
+    return Channel.derive(member.gk, b"gk").seal(
+        params.element_width, wire.DirectoryRequest, VVK_REQUEST + member.fid, rng
     )
 
 
@@ -153,7 +143,7 @@ def rsu_open_directory_request(
     params: SystemParams, gk: GElem, msg: wire.DirectoryRequest
 ) -> bytes:
     """Validate a directory request; returns the requester's fid."""
-    plain = _open(params, msg, gk_enc_key(gk), gk_mac_key(gk))
+    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
     if len(plain) != len(VVK_REQUEST) + PSEUDONYM_LEN or not plain.startswith(VVK_REQUEST):
         raise DecryptFail("not a directory request")
     return plain[len(VVK_REQUEST) :]
@@ -166,21 +156,15 @@ def rsu_serve_directory(
         params.encode_elem(rec.blinded) + rec.fid for rec in state.members.values()
     )
     plaintext = len(state.members).to_bytes(4, "big") + entries
-    return _seal(
-        params,
-        wire.DirectoryListing,
-        gk_enc_key(state.gk),
-        gk_mac_key(state.gk),
-        plaintext,
-        rng,
-        epoch=state.epoch,
+    return Channel.derive(state.gk, b"gk").seal(
+        params.element_width, wire.DirectoryListing, plaintext, rng, state.epoch
     )
 
 
 def open_directory(
     params: SystemParams, gk: GElem, msg: wire.DirectoryListing
 ) -> dict[bytes, GElem]:
-    plain = _open(params, msg, gk_enc_key(gk), gk_mac_key(gk))
+    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
     w = params.element_width
     entry = w + PSEUDONYM_LEN
     count = int.from_bytes(plain[:4], "big")
@@ -252,13 +236,8 @@ def send_peer(
         + inner_ct
         + inner_mac
     )
-    return _seal(
-        params,
-        wire.PeerMessage,
-        gk_enc_key(member.gk),
-        gk_mac_key(member.gk),
-        envelope,
-        rng,
+    return Channel.derive(member.gk, b"gk").seal(
+        params.element_width, wire.PeerMessage, envelope, rng
     )
 
 
@@ -269,7 +248,7 @@ def recv_peer(
     msg: wire.PeerMessage,
 ) -> bytes:
     """Unwrap both layers; every check failure is typed."""
-    plain = _open(params, msg, gk_enc_key(member.gk), gk_mac_key(member.gk))
+    plain = Channel.derive(member.gk, b"gk").open(params.element_width, msg)
     if len(plain) < 2 * PSEUDONYM_LEN + 12 + 16:
         raise DecryptFail("peer message envelope too short")
     recipient = plain[:PSEUDONYM_LEN]

@@ -26,49 +26,9 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .auth import AuthSession, is_authenticated
-from .crypto import (
-    GElem,
-    PSEUDONYM_LEN,
-    Scalar,
-    SystemParams,
-    hmac_tag,
-    kdf,
-    macs_equal,
-    rand_zq_star,
-    sym_decrypt,
-    sym_encrypt,
-)
+from .crypto import GElem, PSEUDONYM_LEN, Scalar, SystemParams, rand_zq_star
 from .errors import DecryptFail, DuplicateIdentity, FidAbsent, MacFail, StateError, UnknownIdentity
-
-
-def gk_enc_key(gk: GElem) -> bytes:
-    return kdf(gk, b"gk:enc")
-
-
-def gk_mac_key(gk: GElem) -> bytes:
-    return kdf(gk, b"gk:mac")
-
-
-def sk_enc_key(sk: GElem) -> bytes:
-    return kdf(sk, b"sk:enc")
-
-
-def sk_mac_key(sk: GElem) -> bytes:
-    return kdf(sk, b"sk:mac")
-
-
-def _seal(params, cls, key_enc, key_mac, plaintext, rng, **fields):
-    ct = sym_encrypt(key_enc, plaintext, rng)
-    msg = cls(ct=ct, mac=bytes(16), **fields)
-    return type(msg)(
-        **{**fields, "ct": ct, "mac": hmac_tag(key_mac, wire.mac_input(msg, params.element_width))}
-    )
-
-
-def _open(params, msg, key_enc, key_mac) -> bytes:
-    if not macs_equal(msg.mac, hmac_tag(key_mac, wire.mac_input(msg, params.element_width))):
-        raise MacFail(f"bad mac on {type(msg).__name__}")
-    return sym_decrypt(key_enc, msg.ct)
+from .wire import Channel
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +92,14 @@ def member_offer(
     lam = rand_zq_star(rng, params.q)
     mstate = MemberState(fid=session.fid, n1=session.n1, lam=lam)
     plaintext = session.fid + params.encode_elem(params.g_exp(params.g, lam))
-    msg = _seal(
-        params,
-        wire.ShareOffer,
-        kdf(session.n1, b"n1:enc"),
-        kdf(session.n1, b"n1:mac"),
-        plaintext,
-        rng,
+    offer = Channel.derive(session.n1, b"n1").seal(
+        params.element_width, wire.ShareOffer, plaintext, rng
     )
-    return mstate, msg
+    return mstate, offer
 
 
 def _open_offer(params: SystemParams, session: AuthSession, offer: wire.ShareOffer) -> GElem:
-    plain = _open(params, offer, kdf(session.n1, b"n1:enc"), kdf(session.n1, b"n1:mac"))
+    plain = Channel.derive(session.n1, b"n1").open(params.element_width, offer)
     if len(plain) != PSEUDONYM_LEN + params.element_width:
         raise DecryptFail("share offer has wrong length")
     if plain[:PSEUDONYM_LEN] != session.fid:
@@ -172,28 +127,21 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     state.gk = new_gk
     state.epoch += 1
 
+    w = params.element_width
     updates = {
-        fid: _seal(
-            params,
+        fid: Channel.derive(rec.n1, b"n1").seal(
+            w,
             wire.ShareUpdate,
-            kdf(rec.n1, b"n1:enc"),
-            kdf(rec.n1, b"n1:mac"),
             params.encode_elem(rec.blinded) + params.encode_elem(product),
             rng,
-            epoch=state.epoch,
+            state.epoch,
         )
         for fid, rec in state.members.items()
     }
     notice = None
     if state.prev_gk is not None:
-        notice = _seal(
-            params,
-            wire.GroupKeyNotice,
-            gk_enc_key(state.prev_gk),
-            gk_mac_key(state.prev_gk),
-            params.encode_elem(new_gk),
-            rng,
-            epoch=state.epoch,
+        notice = Channel.derive(state.prev_gk, b"gk").seal(
+            w, wire.GroupKeyNotice, params.encode_elem(new_gk), rng, state.epoch
         )
     return RekeyResult(epoch=state.epoch, gk=new_gk, share_updates=updates, notice=notice)
 
@@ -238,14 +186,8 @@ def handle_leave(
     plaintext = len(state.members).to_bytes(4, "big") + b"".join(
         params.encode_elem(rec.blinded) + rec.fid for rec in state.members.values()
     ) + params.encode_elem(product)
-    update = _seal(
-        params,
-        wire.LeaveUpdate,
-        gk_enc_key(old_gk),
-        gk_mac_key(old_gk),
-        plaintext,
-        rng,
-        epoch=state.epoch,
+    update = Channel.derive(old_gk, b"gk").seal(
+        params.element_width, wire.LeaveUpdate, plaintext, rng, state.epoch
     )
     return result, update
 
@@ -264,7 +206,7 @@ def member_derive(
     params: SystemParams, mstate: MemberState, update: wire.ShareUpdate
 ) -> GElem:
     """Recover the group key from the member's own rekey material."""
-    plain = _open(params, update, kdf(mstate.n1, b"n1:enc"), kdf(mstate.n1, b"n1:mac"))
+    plain = Channel.derive(mstate.n1, b"n1").open(params.element_width, update)
     if len(plain) != 2 * params.element_width:
         raise DecryptFail("share update has wrong length")
     blinded = params.decode_elem(plain[: params.element_width])
@@ -282,7 +224,7 @@ def member_apply_notice(
     """Existing members pick up the new group key from the broadcast."""
     if mstate.gk is None:
         raise StateError("no previous group key to decrypt the notice with")
-    plain = _open(params, notice, gk_enc_key(mstate.gk), gk_mac_key(mstate.gk))
+    plain = Channel.derive(mstate.gk, b"gk").open(params.element_width, notice)
     if len(plain) != params.element_width:
         raise DecryptFail("group key notice has wrong length")
     mstate.gk = params.decode_elem(plain)
@@ -294,7 +236,7 @@ def member_derive_from_leave(
     params: SystemParams, mstate: MemberState, update: wire.LeaveUpdate, old_gk: GElem
 ) -> GElem:
     """Find one's own pair in a leave broadcast and derive the new key."""
-    plain = _open(params, update, gk_enc_key(old_gk), gk_mac_key(old_gk))
+    plain = Channel.derive(old_gk, b"gk").open(params.element_width, update)
     w = params.element_width
     entry = w + PSEUDONYM_LEN
     if len(plain) < 4:
@@ -329,13 +271,8 @@ def transfer_gk(
     if state.gk is None:
         raise StateError("no group key to transfer")
     plaintext = params.encode_elem(state.gk) + state.epoch.to_bytes(8, "big")
-    return _seal(
-        params,
-        wire.GroupKeyTransfer,
-        sk_enc_key(rsu_session_key),
-        sk_mac_key(rsu_session_key),
-        plaintext,
-        rng,
+    return Channel.derive(rsu_session_key, b"sk").seal(
+        params.element_width, wire.GroupKeyTransfer, plaintext, rng
     )
 
 
@@ -379,7 +316,7 @@ def receive_gk_transfer(
     msg: wire.GroupKeyTransfer,
     rsu_session_key: GElem,
 ) -> tuple[int, GElem]:
-    plain = _open(params, msg, sk_enc_key(rsu_session_key), sk_mac_key(rsu_session_key))
+    plain = Channel.derive(rsu_session_key, b"sk").open(params.element_width, msg)
     if len(plain) != params.element_width + 8:
         raise DecryptFail("group key transfer has wrong length")
     gk = params.decode_elem(plain[: params.element_width])

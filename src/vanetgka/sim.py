@@ -24,19 +24,19 @@ import heapq
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
-from .costs import PrimitiveTimings, average_delay
+from .costs import DelaySample, PrimitiveTimings
 from .crypto import GElem
 from .errors import ProtocolError
 from .gka import run_agreement
 from .groupkey import GroupState, MemberState, NeighborGkStore
 from .registry import (
     NodeCredentials,
-    VehicleEpoch,
     refresh_vehicle_epoch,
     register_rsu,
     register_vehicle,
@@ -130,7 +130,6 @@ class EventKind(Enum):
     BEACON = "beacon"
     VEHICLE_ENTER_RANGE = "vehicle_enter_range"
     MESSAGE_DELIVERY = "message_delivery"
-    PROTOCOL_TIMER = "protocol_timer"
     VEHICLE_BROADCAST = "vehicle_broadcast"
 
 
@@ -206,12 +205,10 @@ class _VehicleNode:
     speed: float
     on_road: bool = True
     target: int | None = None  # index of the nearest RSU
-    epoch_material: VehicleEpoch | None = None
     session: auth.AuthSession | None = None
     auth_started_ms: float = -1.0
     mstate: MemberState | None = None
     joined: bool = False
-    joined_during_association: bool = False
     prev_gk: GElem | None = None
     busy_until: float = 0.0
     broadcast_armed: bool = False
@@ -288,6 +285,7 @@ class Simulation:
         self.failed_full_auths = 0
         self.incomplete_associations = 0
         self._delay_acc: dict[bytes, tuple[float, int]] = {}
+        self._delivering: tuple[int, bytes] = (0, b"")  # (message id, receiver)
 
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
@@ -350,10 +348,13 @@ class Simulation:
         create_cost: float,
         to_rsu: bool = False,
     ) -> None:
-        """Encode once, count overhead, schedule one delivery per receiver."""
+        """Encode once, count overhead, schedule one delivery per receiver.
+
+        The message id is the send's sequence number, ``messages_sent``."""
         data = wire.encode_message(msg, self.params.element_width)
         decoded = wire.decode_message(data, self.params.element_width)
         self.messages_sent += 1
+        msg_id = self.messages_sent
         if to_rsu:
             self.obu_to_rsu_sends += 1
             overhead = groupcomm.measure_overhead(decoded)
@@ -368,7 +369,7 @@ class Simulation:
                 SimEvent(
                     arrive,
                     EventKind.MESSAGE_DELIVERY,
-                    (decoded, sender_id, receiver, create_cost, tx),
+                    (decoded, msg_id, sender_id, receiver, create_cost, tx),
                 )
             )
 
@@ -378,30 +379,35 @@ class Simulation:
         total, count = self._delay_acc.get(creator, (0.0, 0))
         self._delay_acc[creator] = (total + t_create + t_transmit + t_verify, count + 1)
         if self.keep_samples:
-            from .costs import DelaySample
-
+            msg_id, receiver = self._delivering
             self.samples.append(
-                DelaySample(creator, count, b"", t_create, t_transmit, t_verify)
+                DelaySample(creator, msg_id, receiver, t_create, t_transmit, t_verify)
             )
 
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> MetricsReport:
+        handlers = {
+            EventKind.BEACON: self._on_beacon,
+            EventKind.VEHICLE_ENTER_RANGE: self._on_enter_range,
+            EventKind.MESSAGE_DELIVERY: self._on_delivery,
+            EventKind.VEHICLE_BROADCAST: self._on_vehicle_broadcast,
+        }
         while self._heap:
             time_ms, _, ev = heapq.heappop(self._heap)
             if time_ms > self.end_ms:
                 break
             if self.trace:
-                print(f"[sim] t={time_ms:10.3f} {ev.kind.value} {ev.data[:2]}", flush=True)
-            handler = {
-                EventKind.BEACON: self._on_beacon,
-                EventKind.VEHICLE_ENTER_RANGE: self._on_enter_range,
-                EventKind.MESSAGE_DELIVERY: self._on_delivery,
-                EventKind.VEHICLE_BROADCAST: self._on_vehicle_broadcast,
-                EventKind.PROTOCOL_TIMER: self._on_timer,
-            }[ev.kind]
-            handler(time_ms, *ev.data)
+                self._trace(time_ms, ev)
+            handlers[ev.kind](time_ms, *ev.data)
         return self._report()
+
+    def _trace(self, time_ms: float, ev: SimEvent) -> None:
+        data = ev.data
+        if ev.kind is EventKind.MESSAGE_DELIVERY:
+            msg, msg_id, sender_id, receiver_id = data[:4]
+            data = f"{type(msg).__name__} #{msg_id} {sender_id.decode()} -> {receiver_id.decode()}"
+        print(f"[sim] t={time_ms:10.3f} {ev.kind.value} {data}", file=sys.stderr, flush=True)
 
     def _report(self) -> MetricsReport:
         if self._delay_acc:
@@ -453,13 +459,9 @@ class Simulation:
             elif veh.legit and veh.session is not None:
                 self.incomplete_associations += 1
             rsu.sessions.pop(veh.node_id, None)
-        if veh.legit and not veh.joined and veh.session is not None:
-            pass  # already counted above when it had a session
         veh.session = None
         veh.mstate = None
         veh.joined = False
-        veh.joined_during_association = False
-        veh.epoch_material = None
         if new_target is None:
             veh.on_road = False
             veh.target = None
@@ -504,9 +506,17 @@ class Simulation:
     # -- deliveries -------------------------------------------------------------------
 
     def _on_delivery(
-        self, now: float, msg, sender_id: bytes, receiver_id: bytes, create_cost: float, tx: float
+        self,
+        now: float,
+        msg,
+        msg_id: int,
+        sender_id: bytes,
+        receiver_id: bytes,
+        create_cost: float,
+        tx: float,
     ) -> None:
         self.messages_delivered += 1
+        self._delivering = (msg_id, receiver_id)
         if receiver_id.startswith(b"rsu-"):
             rsu = next(r for r in self.rsus if r.node_id == receiver_id)
             self._rsu_receive(now, rsu, msg, sender_id, create_cost, tx)
@@ -548,7 +558,6 @@ class Simulation:
             self.mac_drops += 1
             return
         self._sample(sender_id, create_cost, tx, end - now)
-        veh.epoch_material = epoch
         veh.session = session
         veh.auth_started_ms = now
         veh.mstate = None  # a restart abandons any in-flight share offer
@@ -608,7 +617,6 @@ class Simulation:
             return
         self._sample(sender_id, create_cost, tx, end - now)
         veh.joined = True
-        veh.joined_during_association = True
         if not veh.broadcast_armed:
             # one self-rescheduling broadcast chain per vehicle, ever
             veh.broadcast_armed = True
@@ -689,9 +697,6 @@ class Simulation:
                 now + self._jittered_interval(), EventKind.VEHICLE_BROADCAST, (veh_index,)
             )
         )
-
-    def _on_timer(self, now: float, *data) -> None:  # reserved for extensions
-        pass
 
     # -- rsu side --------------------------------------------------------------------
 

@@ -1,26 +1,45 @@
-"""Byte-exact wire codec for every protocol message.
+"""Byte-exact wire codec for every protocol message, and the sealed channel.
 
-Layout conventions (all integers big-endian):
+A message is a 1-byte type tag followed by its fields in declaration order.
+Each message class lists its fields' kinds in ``LAYOUT``, and
+``encode_message``/``decode_message`` walk that layout. The kinds (all
+integers big-endian):
 
-  type tag          1 byte
-  group element     element_width bytes (G, G1 and scalar values alike)
-  pseudonym (fid)   exactly 42 bytes
-  MAC               exactly 16 bytes, always the final field
-  timestamp         8-byte unsigned milliseconds
-  epoch             8-byte unsigned counter
-  location coord    8-byte signed centimeters
-  ciphertext        4-byte length prefix + bytes
-  identity (tid)    4-byte length prefix + bytes
+  elem        group element, element_width bytes (G, G1 and scalar values alike)
+  elem_list   4-byte count + that many elements
+  fid         pseudonym, exactly 42 bytes
+  mac         MAC, exactly 16 bytes; when present, always the final field
+  u64         8-byte unsigned (timestamps in milliseconds, epochs)
+  i64         8-byte signed (location coordinates in centimeters)
+  var         4-byte length prefix + bytes (ciphertexts, identities)
 
 ``decode(encode(m)) == m`` for every message, and decoding rejects unknown
 tags, truncated input and trailing garbage.
+
+Every message after the beacon is sealed by a ``Channel``: an encryption key
+and a MAC key derived from one shared secret, the hello nonce N1 (vehicle-RSU
+channel, label ``n1``), the group key (group traffic, ``gk``) or the RSU-to-RSU
+session key (group-key transfer, ``sk``). The MAC covers ``mac_input``, the
+message's encoding with its final 16 bytes zeroed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import random
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple, get_args
 
-from .crypto import MAC_LEN, PSEUDONYM_LEN
+from .crypto import (
+    MAC_LEN,
+    PSEUDONYM_LEN,
+    hmac_tag,
+    kdf,
+    macs_equal,
+    sym_decrypt,
+    sym_encrypt,
+)
+from .errors import MacFail
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -129,10 +148,30 @@ class _Reader:
 
 
 @dataclass(frozen=True)
+class _Sealed:
+    """Ciphertext plus MAC."""
+
+    LAYOUT = ("var", "mac")
+    ct: bytes
+    mac: bytes
+
+
+@dataclass(frozen=True)
+class _EpochSealed:
+    """Epoch counter, ciphertext plus MAC."""
+
+    LAYOUT = ("u64", "var", "mac")
+    epoch: int
+    ct: bytes
+    mac: bytes
+
+
+@dataclass(frozen=True)
 class RingCommit:
     """Round-1 key agreement commitments among RSUs."""
 
     TAG = 0x01
+    LAYOUT = ("var", "elem", "elem", "elem", "elem", "elem")
     tid: bytes
     x_pub: int
     r_pub: int
@@ -140,24 +179,13 @@ class RingCommit:
     sig_c: int
     sig_s: int
 
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.tid)
-        w.elem(self.x_pub)
-        w.elem(self.r_pub)
-        w.elem(self.t_pub)
-        w.elem(self.sig_c)
-        w.elem(self.sig_s)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RingCommit":
-        return cls(r.var(), r.elem(), r.elem(), r.elem(), r.elem(), r.elem())
-
 
 @dataclass(frozen=True)
 class RingResponse:
     """Round-2 ring value, response scalar and deniability tokens."""
 
     TAG = 0x02
+    LAYOUT = ("var", "elem", "elem", "elem_list", "elem", "elem")
     tid: bytes
     y: int
     s: int
@@ -165,24 +193,13 @@ class RingResponse:
     sig_c: int
     sig_s: int
 
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.tid)
-        w.elem(self.y)
-        w.elem(self.s)
-        w.elem_list(self.tokens)
-        w.elem(self.sig_c)
-        w.elem(self.sig_s)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RingResponse":
-        return cls(r.var(), r.elem(), r.elem(), r.elem_list(), r.elem(), r.elem())
-
 
 @dataclass(frozen=True)
 class RsuBeacon:
     """Periodic RSU announcement, signed by the trust authority."""
 
     TAG = 0x10
+    LAYOUT = ("elem", "i64", "i64", "elem", "elem", "elem")
     pk_rsu: int
     loc_x: int
     loc_y: int
@@ -190,24 +207,13 @@ class RsuBeacon:
     sig_c: int
     sig_s: int
 
-    def _pack(self, w: _Writer) -> None:
-        w.elem(self.pk_rsu)
-        w.i64(self.loc_x)
-        w.i64(self.loc_y)
-        w.elem(self.loc_hash)
-        w.elem(self.sig_c)
-        w.elem(self.sig_s)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RsuBeacon":
-        return cls(r.elem(), r.i64(), r.i64(), r.elem(), r.elem(), r.elem())
-
 
 @dataclass(frozen=True)
 class AuthHello:
     """Vehicle hello: epoch public key, timestamp, pseudonym ciphertexts."""
 
     TAG = 0x11
+    LAYOUT = ("elem", "u64", "var", "elem", "var", "mac")
     pk_v: int
     ts_ms: int
     gk_fid_ct: bytes  # pseudonym under a neighbor group key (or filler)
@@ -215,159 +221,54 @@ class AuthHello:
     kem_ct: bytes  # (fid, nonce scalar) for the RSU
     mac: bytes
 
-    def _pack(self, w: _Writer) -> None:
-        w.elem(self.pk_v)
-        w.u64(self.ts_ms)
-        w.var(self.gk_fid_ct)
-        w.elem(self.kem_epk)
-        w.var(self.kem_ct)
-        w.mac(self.mac)
 
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AuthHello":
-        return cls(r.elem(), r.u64(), r.var(), r.elem(), r.var(), r.mac())
-
-
-@dataclass(frozen=True)
-class AuthChallenge:
+class AuthChallenge(_Sealed):
     """RSU challenge carrying its blinded certification values."""
 
     TAG = 0x12
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AuthChallenge":
-        return cls(r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class AuthConfirm:
+class AuthConfirm(_Sealed):
     """Vehicle key-confirmation response."""
 
     TAG = 0x13
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AuthConfirm":
-        return cls(r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class ShareOffer:
+class ShareOffer(_Sealed):
     """Member's blinded group-key share, on the per-vehicle channel."""
 
     TAG = 0x20
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "ShareOffer":
-        return cls(r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class ShareUpdate:
+class ShareUpdate(_EpochSealed):
     """Per-member rekey material (blinded share and share product)."""
 
     TAG = 0x21
-    epoch: int
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.u64(self.epoch)
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "ShareUpdate":
-        return cls(r.u64(), r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class GroupKeyNotice:
+class GroupKeyNotice(_EpochSealed):
     """New group key broadcast, encrypted under the previous group key."""
 
     TAG = 0x22
-    epoch: int
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.u64(self.epoch)
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "GroupKeyNotice":
-        return cls(r.u64(), r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class LeaveUpdate:
+class LeaveUpdate(_EpochSealed):
     """Post-departure rekey broadcast listing the remaining members' shares."""
 
     TAG = 0x23
-    epoch: int
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.u64(self.epoch)
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "LeaveUpdate":
-        return cls(r.u64(), r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class GroupKeyTransfer:
-    """Group key handed to a neighbor RSU under the RSU-to-RSU session key."""
+class GroupKeyTransfer(_Sealed):
+    """Group key handed to a neighbor RSU under the RSU-to-RSU session key;
+    the ciphertext carries (group key, epoch as 8-byte big-endian)."""
 
     TAG = 0x24
-    ct: bytes  # carries (group key, epoch as 8-byte big-endian)
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "GroupKeyTransfer":
-        return cls(r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class GroupBroadcast:
+class GroupBroadcast(_Sealed):
     """Group-wide message under the group key; sender fid inside."""
 
     TAG = 0x30
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "GroupBroadcast":
-        return cls(r.var(), r.mac())
 
 
 @dataclass(frozen=True)
@@ -375,93 +276,29 @@ class UplinkMessage:
     """Vehicle-to-RSU confidential unicast on the per-vehicle channel."""
 
     TAG = 0x31
+    LAYOUT = ("fid", "var", "mac")
     fid: bytes
     ct: bytes
     mac: bytes
 
-    def _pack(self, w: _Writer) -> None:
-        w.fid(self.fid)
-        w.var(self.ct)
-        w.mac(self.mac)
 
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "UplinkMessage":
-        return cls(r.fid(), r.var(), r.mac())
-
-
-@dataclass(frozen=True)
-class DirectoryRequest:
+class DirectoryRequest(_Sealed):
     """Member request for the share directory (one-to-one setup)."""
 
     TAG = 0x32
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "DirectoryRequest":
-        return cls(r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class DirectoryListing:
+class DirectoryListing(_EpochSealed):
     """RSU broadcast of all (blinded share, fid) pairs in the group."""
 
     TAG = 0x33
-    epoch: int
-    ct: bytes
-    mac: bytes
-
-    def _pack(self, w: _Writer) -> None:
-        w.u64(self.epoch)
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "DirectoryListing":
-        return cls(r.u64(), r.var(), r.mac())
 
 
-@dataclass(frozen=True)
-class PeerMessage:
+class PeerMessage(_Sealed):
     """Vehicle-to-vehicle message: pairwise-key layer inside group-key layer."""
 
     TAG = 0x34
-    ct: bytes
-    mac: bytes
 
-    def _pack(self, w: _Writer) -> None:
-        w.var(self.ct)
-        w.mac(self.mac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "PeerMessage":
-        return cls(r.var(), r.mac())
-
-
-MESSAGE_TYPES = (
-    RingCommit,
-    RingResponse,
-    RsuBeacon,
-    AuthHello,
-    AuthChallenge,
-    AuthConfirm,
-    ShareOffer,
-    ShareUpdate,
-    GroupKeyNotice,
-    LeaveUpdate,
-    GroupKeyTransfer,
-    GroupBroadcast,
-    UplinkMessage,
-    DirectoryRequest,
-    DirectoryListing,
-    PeerMessage,
-)
-
-_BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
 
 WireMessage = (
     RingCommit
@@ -481,13 +318,33 @@ WireMessage = (
     | DirectoryListing
     | PeerMessage
 )
+MESSAGE_TYPES: tuple[type, ...] = get_args(WireMessage)
+
+_BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
+
+# per class: the writer and reader method of each field, and a getter that
+# returns the field values in layout order
+for _cls in MESSAGE_TYPES:
+    _names = [f.name for f in fields(_cls)]
+    assert len(_names) == len(_cls.LAYOUT) and "mac" not in _cls.LAYOUT[:-1], _cls
+    _cls._PUT = tuple(getattr(_Writer, kind) for kind in _cls.LAYOUT)
+    _cls._GET = tuple(getattr(_Reader, kind) for kind in _cls.LAYOUT)
+    _cls._VALUES = attrgetter(*_names)
+
+_NO_MAC = bytes(MAC_LEN)
+
+
+def _encode(cls: type, values: tuple, element_width: int) -> bytes:
+    w = _Writer(element_width)
+    w.u8(cls.TAG)
+    for put, v in zip(cls._PUT, values):
+        put(w, v)
+    return w.getvalue()
 
 
 def encode_message(msg: WireMessage, element_width: int) -> bytes:
-    w = _Writer(element_width)
-    w.u8(msg.TAG)
-    msg._pack(w)
-    return w.getvalue()
+    cls = type(msg)
+    return _encode(cls, cls._VALUES(msg), element_width)
 
 
 def decode_message(data: bytes, element_width: int) -> WireMessage:
@@ -497,15 +354,54 @@ def decode_message(data: bytes, element_width: int) -> WireMessage:
         cls = _BY_TAG[tag]
     except KeyError:
         raise ValueError(f"unknown type tag 0x{tag:02x}") from None
-    msg = cls._unpack(r)
+    msg = cls(*[get(r) for get in cls._GET])
     r.done()
     return msg
 
 
 def mac_input(msg: WireMessage, element_width: int) -> bytes:
     """Canonical bytes a message's MAC is computed over: the encoding with
-    the mac field zeroed."""
-    return encode_message(replace(msg, mac=bytes(MAC_LEN)), element_width)
+    the mac field (always the last 16 bytes) zeroed."""
+    if msg.LAYOUT[-1] != "mac":
+        raise TypeError(f"{type(msg).__name__} carries no mac")
+    return encode_message(msg, element_width)[:-MAC_LEN] + _NO_MAC
+
+
+class Channel(NamedTuple):
+    """Encrypt-then-MAC under two keys derived from one shared secret.
+
+    ``seal`` and ``open`` encrypt a plaintext into a message's ``ct`` field
+    and MAC the message. ``tag`` and ``check`` only MAC: the hello carries
+    ciphertexts under other keys, and the fast-path ack an empty ``ct``.
+    """
+
+    enc_key: bytes
+    mac_key: bytes
+
+    @classmethod
+    def derive(cls, secret: int, label: bytes) -> "Channel":
+        """The channel of ``secret`` under ``label``: b"n1", b"gk" or b"sk"."""
+        return cls(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
+
+    def tag(self, element_width: int, cls: type, *values) -> WireMessage:
+        """``cls(*values, mac)``, MACed over its ``mac_input``."""
+        data = _encode(cls, (*values, _NO_MAC), element_width)
+        return cls(*values, hmac_tag(self.mac_key, data))
+
+    def check(self, element_width: int, msg: WireMessage) -> None:
+        if not macs_equal(msg.mac, hmac_tag(self.mac_key, mac_input(msg, element_width))):
+            raise MacFail(f"bad mac on {type(msg).__name__}")
+
+    def seal(
+        self, element_width: int, cls: type, plaintext: bytes, rng: random.Random, *head
+    ) -> WireMessage:
+        """``cls(*head, ct, mac)`` with ``plaintext`` encrypted into ``ct``."""
+        return self.tag(element_width, cls, *head, sym_encrypt(self.enc_key, plaintext, rng))
+
+    def open(self, element_width: int, msg: WireMessage) -> bytes:
+        """Check the MAC, then decrypt ``msg.ct``."""
+        self.check(element_width, msg)
+        return sym_decrypt(self.enc_key, msg.ct)
 
 
 def describe(msg: WireMessage) -> str:

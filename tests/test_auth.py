@@ -11,14 +11,13 @@ from vanetgka.auth import (
     hybrid_encrypt,
     is_authenticated,
     make_hello,
-    n1_mac_key,
     process_hello,
     rsu_verify,
     start_vehicle_auth,
     verify_beacon,
     vehicle_confirm,
 )
-from vanetgka.crypto import get_profile, hmac_tag, rand_zq_star
+from vanetgka.crypto import get_profile, rand_zq_star
 from vanetgka.errors import (
     DecryptFail,
     KeyConfirmFail,
@@ -216,9 +215,15 @@ def test_fast_path_requires_fid_agreement():
 
     vs = start_vehicle_auth(ta.params, epoch, beacon, rsu.tid)
     hello = make_hello(ta.params, vs, None, rng, now_ms=1000)
-    spliced = replace(hello, gk_fid_ct=donor_hello.gk_fid_ct)
-    mac = hmac_tag(n1_mac_key(vs.n1), wire.mac_input(spliced, ta.params.element_width))
-    spliced = replace(spliced, mac=mac)
+    spliced = wire.Channel.derive(vs.n1, b"n1").tag(
+        ta.params.element_width,
+        wire.AuthHello,
+        hello.pk_v,
+        hello.ts_ms,
+        donor_hello.gk_fid_ct,
+        hello.kem_epk,
+        hello.kem_ct,
+    )
     rs, challenge = process_hello(ta.params, rsu, spliced, 1100, 500, [gk], rng)
     assert rs.state is AuthState.CHALLENGED and challenge is not None
 
@@ -295,18 +300,14 @@ def test_inconsistent_confirmation_value_rejected():
     rs, challenge = process_hello(params, rsu, hello, 1100, 500, [], rng)
     confirm = vehicle_confirm(params, vs, veh, challenge, rng)
 
-    from vanetgka.auth import n1_enc_key
-    from vanetgka.crypto import sym_decrypt, sym_encrypt
-
-    plain = bytearray(sym_decrypt(n1_enc_key(vs.n1), confirm.ct))
+    channel = wire.Channel.derive(vs.n1, b"n1")
     w = params.element_width
+    plain = bytearray(channel.open(w, confirm))
     t_v_tampered = params.g1_mul(vs.beta + 1, 1)
     plain[42 : 42 + w] = params.encode_elem(t_v_tampered)
-    ct = sym_encrypt(n1_enc_key(vs.n1), bytes(plain), rng)
-    bad = wire.AuthConfirm(ct=ct, mac=bytes(16))
-    mac = hmac_tag(n1_mac_key(vs.n1), wire.mac_input(bad, w))
+    bad = channel.seal(w, wire.AuthConfirm, bytes(plain), rng)
     with pytest.raises(KeyConfirmFail):
-        rsu_verify(params, rsu, rs, wire.AuthConfirm(ct, mac))
+        rsu_verify(params, rsu, rs, bad)
 
 
 def test_challenge_mac_flip_rejected():
@@ -326,17 +327,13 @@ def test_wrong_blinded_certification_echo_rejected():
     hello = make_hello(params, vs, None, rng, now_ms=1000)
     rs, challenge = process_hello(params, rsu, hello, 1100, 500, [], rng)
 
-    from vanetgka.auth import n1_enc_key
-    from vanetgka.crypto import sym_decrypt, sym_encrypt
-
+    channel = wire.Channel.derive(rs.n1, b"n1")
     w = params.element_width
-    plain = bytearray(sym_decrypt(n1_enc_key(rs.n1), challenge.ct))
+    plain = bytearray(channel.open(w, challenge))
     plain[w:] = params.encode_elem((params.decode_elem(bytes(plain[w:])) + 1) % params.q)
-    ct = sym_encrypt(n1_enc_key(rs.n1), bytes(plain), rng)
-    msg = wire.AuthChallenge(ct=ct, mac=bytes(16))
-    mac = hmac_tag(n1_mac_key(rs.n1), wire.mac_input(msg, w))
+    bad = channel.seal(w, wire.AuthChallenge, bytes(plain), rng)
     with pytest.raises(MacFail):
-        vehicle_confirm(params, vs, veh, wire.AuthChallenge(ct, mac), rng)
+        vehicle_confirm(params, vs, veh, bad, rng)
 
 
 # --- state machine ------------------------------------------------------------------

@@ -230,11 +230,8 @@ def test_peer_message_confidential_separation(group):
             + forged_inner
             + forged_mac
         )
-        from vanetgka.groupkey import _seal, gk_enc_key, gk_mac_key
-
-        forged = _seal(
-            params, wire.PeerMessage, gk_enc_key(state.gk), gk_mac_key(state.gk),
-            envelope, rng,
+        forged = wire.Channel.derive(state.gk, b"gk").seal(
+            params.element_width, wire.PeerMessage, envelope, rng
         )
         with pytest.raises(MacFail):
             recv_peer(params, mstates[1], ch_10, forged)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from vanetgka import wire
 from vanetgka.auth import AuthSession, AuthState
 from vanetgka.crypto import get_profile
 from vanetgka.errors import (
@@ -286,8 +287,6 @@ def test_forward_security_full_protocol_exhaustive_over_gamma():
     """With distinct lambdas, the leaver's derivation applied to every
     share exposed by the leave broadcast misses g^gamma for all gamma."""
     params = get_profile("test")
-    from vanetgka.groupkey import _open, gk_enc_key, gk_mac_key
-
     w = params.element_width
     for gamma in range(1, 11):
         lams = [2, 5, 3]  # leaver is the middle member
@@ -298,7 +297,7 @@ def test_forward_security_full_protocol_exhaustive_over_gamma():
         assert state.gamma == gamma
 
         # the leaver can open the broadcast (it still holds the old gk)
-        plain = _open(params, update, gk_enc_key(old_gk), gk_mac_key(old_gk))
+        plain = wire.Channel.derive(old_gk, b"gk").open(w, update)
         count = int.from_bytes(plain[:4], "big")
         shares = [
             params.decode_elem(plain[4 + i * (w + 42) : 4 + i * (w + 42) + w])

@@ -208,8 +208,14 @@ PINNED_HEX = {
 }
 
 PINNED_REPORTS = {
-    "fast": 'MetricsReport(n_vehicles=6, average_delay_ms=14.809374308303372, total_overhead_bytes=17632, auth_count=6, fastpath_count=0, rekey_count=10)',
-    "default_n10": 'MetricsReport(n_vehicles=10, average_delay_ms=16.337177724841936, total_overhead_bytes=32712, auth_count=11, fastpath_count=2, rekey_count=19)',
+    "fast": (
+        "MetricsReport(n_vehicles=6, average_delay_ms=14.809374308303372, "
+        "total_overhead_bytes=17632, auth_count=6, fastpath_count=0, rekey_count=10)"
+    ),
+    "default_n10": (
+        "MetricsReport(n_vehicles=10, average_delay_ms=16.337177724841936, "
+        "total_overhead_bytes=32712, auth_count=11, fastpath_count=2, rekey_count=19)"
+    ),
 }
 
 

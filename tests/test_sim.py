@@ -4,6 +4,7 @@ import pytest
 
 from vanetgka.costs import average_delay
 from vanetgka.sim import (
+    EventKind,
     MetricsReport,
     ScenarioConfig,
     Simulation,
@@ -131,16 +132,46 @@ def test_overhead_is_58_per_vehicle_message():
 
 
 def test_conservation_deliveries_do_not_exceed_fanout():
+    # every delivery scheduled by a send arrives by end_ms, so deliveries
+    # equal the scheduled fan-out exactly
     sim = Simulation(FAST)
+    scheduled = []
+    push = sim._push
+
+    def counting_push(ev):
+        if ev.kind is EventKind.MESSAGE_DELIVERY:
+            scheduled.append(ev)
+        push(ev)
+
+    sim._push = counting_push
     sim.run()
     assert sim.messages_sent > 0
-    assert sim.messages_delivered >= sim.messages_sent - sim.stale_drops - 50
+    assert sim.messages_delivered == len(scheduled)
 
 
 def test_streamed_average_matches_reference_metric():
     sim = Simulation(dataclasses.replace(FAST, n_vehicles=4, rng_seed=9), keep_samples=True)
     report = sim.run()
     assert report.average_delay_ms == pytest.approx(average_delay(sim.samples))
+
+
+def test_samples_name_the_receiver_and_the_sent_message():
+    sim = Simulation(dataclasses.replace(FAST, n_vehicles=4, sim_time_s=3.0), keep_samples=True)
+    sim.run()
+    node_ids = {r.node_id for r in sim.rsus} | {v.node_id for v in sim.vehicles}
+    assert sim.samples
+    assert all(s.receiver in node_ids for s in sim.samples)
+    assert all(1 <= s.message <= sim.messages_sent for s in sim.samples)
+    pairs = [(s.message, s.receiver) for s in sim.samples]
+    assert len(pairs) == len(set(pairs))
+
+
+def test_trace_goes_to_stderr_only(monkeypatch, capsys):
+    monkeypatch.setenv("SIM_LOG", "trace")
+    run_scenario(dataclasses.replace(FAST, n_vehicles=2, sim_time_s=1.0))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[sim]" in err and "message_delivery RsuBeacon #1 rsu-" in err
 
 
 def test_rekeys_track_membership_events():
