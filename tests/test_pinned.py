@@ -220,8 +220,9 @@ PINNED_REPORTS = {
 
 
 def test_pinned_exchange_covers_every_message_type():
-    labels = [label for label, _ in pinned_exchange()]
-    assert {type(m) for _, m in pinned_exchange()} == set(wire.MESSAGE_TYPES)
+    exchange = pinned_exchange()
+    labels = [label for label, _ in exchange]
+    assert {type(m) for _, m in exchange} == set(wire.MESSAGE_TYPES)
     assert "FastPathAck" in labels and len(labels) == len(set(labels)) == 17
 
 
