@@ -25,6 +25,7 @@ import hmac as _hmac
 import os
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 from .errors import DecryptFail
 
@@ -103,7 +104,7 @@ class SystemParams:
     pk_ta_g: GElem | None = None
     pk_ta_g1: G1Elem | None = None
 
-    @property
+    @cached_property
     def element_width(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
@@ -282,11 +283,16 @@ def _expand_to_int(domain: bytes, data: bytes, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _kdf_key(context: bytes) -> bytes:
+    """The HMAC key of one KDF context; the contexts are a few constants."""
+    return hashlib.sha256(b"kdf:" + context).digest()
+
+
 def kdf(value: int, context: bytes) -> bytes:
     """32-byte key from a group element or scalar; contexts separate uses."""
-    key = hashlib.sha256(b"kdf:" + context).digest()
     n = max(1, (value.bit_length() + 7) // 8)
-    return _hmac.digest(key, value.to_bytes(n, "big"), "sha256")
+    return _hmac.digest(_kdf_key(context), value.to_bytes(n, "big"), "sha256")
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

@@ -270,6 +270,10 @@ class Simulation:
                     speed=cfg.vehicle_speed_mps,
                 )
             )
+        self._nodes: dict[bytes, _RsuNode | _VehicleNode] = {
+            node.node_id: node for node in (*self.rsus, *self.vehicles)
+        }
+        assert len(self._nodes) == len(self.rsus) + len(self.vehicles), "duplicate node id"
 
         # metrics
         self.auth_count = 0
@@ -455,7 +459,7 @@ class Simulation:
             rsu = self.rsus[old_target]
             if veh.joined:
                 veh.prev_gk = veh.mstate.gk if veh.mstate else None
-                self._rsu_evict(now, rsu, veh.node_id)
+                self._rsu_evict(now, rsu, veh)
             elif veh.legit and veh.session is not None:
                 self.incomplete_associations += 1
             rsu.sessions.pop(veh.node_id, None)
@@ -468,11 +472,10 @@ class Simulation:
         else:
             veh.target = new_target
 
-    def _rsu_evict(self, now: float, rsu: _RsuNode, fid_owner: bytes) -> None:
+    def _rsu_evict(self, now: float, rsu: _RsuNode, veh: _VehicleNode) -> None:
         """Departure notice reaches the RSU; rekey and notify the group."""
-        veh = next(v for v in self.vehicles if v.node_id == fid_owner)
         fid = veh.mstate.fid if veh.mstate else None
-        rsu.member_fid_by_sender.pop(fid_owner, None)
+        rsu.member_fid_by_sender.pop(veh.node_id, None)
         if fid is None or fid not in rsu.group.members:
             return
         cost = self.charges.rekey_base + self.charges.rekey_per_member * len(
@@ -517,32 +520,17 @@ class Simulation:
     ) -> None:
         self.messages_delivered += 1
         self._delivering = (msg_id, receiver_id)
-        if receiver_id.startswith(b"rsu-"):
-            rsu = next(r for r in self.rsus if r.node_id == receiver_id)
-            self._rsu_receive(now, rsu, msg, sender_id, create_cost, tx)
+        node = self._nodes[receiver_id]
+        if type(node) is _VehicleNode:
+            if not node.on_road:
+                return
+            handler = _VEHICLE_HANDLERS.get(type(msg))
         else:
-            veh = next(v for v in self.vehicles if v.node_id == receiver_id)
-            self._vehicle_receive(now, veh, msg, sender_id, create_cost, tx)
+            handler = _RSU_HANDLERS.get(type(msg))
+        if handler is not None:
+            handler(self, now, node, msg, sender_id, create_cost, tx)
 
     # -- vehicle side -------------------------------------------------------------------
-
-    def _vehicle_receive(
-        self, now: float, veh: _VehicleNode, msg, sender_id: bytes, create_cost: float, tx: float
-    ) -> None:
-        if not veh.on_road:
-            return
-        if isinstance(msg, wire.RsuBeacon):
-            self._vehicle_handle_beacon(now, veh, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.AuthChallenge):
-            self._vehicle_handle_challenge(now, veh, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.ShareUpdate):
-            self._vehicle_handle_share_update(now, veh, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.GroupKeyNotice):
-            self._vehicle_handle_notice(now, veh, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.LeaveUpdate):
-            self._vehicle_handle_leave_update(now, veh, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.GroupBroadcast):
-            self._vehicle_handle_broadcast(now, veh, msg, sender_id, create_cost, tx)
 
     def _vehicle_handle_beacon(self, now, veh, msg, sender_id, create_cost, tx):
         rsu = self.rsus[veh.target] if veh.target is not None else None
@@ -700,20 +688,6 @@ class Simulation:
 
     # -- rsu side --------------------------------------------------------------------
 
-    def _rsu_receive(
-        self, now: float, rsu: _RsuNode, msg, sender_id: bytes, create_cost: float, tx: float
-    ) -> None:
-        if isinstance(msg, wire.AuthHello):
-            self._rsu_handle_hello(now, rsu, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.AuthConfirm):
-            self._rsu_handle_confirm(now, rsu, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.ShareOffer):
-            self._rsu_handle_offer(now, rsu, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.GroupKeyTransfer):
-            self._rsu_handle_transfer(now, rsu, msg, sender_id, create_cost, tx)
-        elif isinstance(msg, wire.GroupBroadcast):
-            self._rsu_handle_broadcast(now, rsu, msg, sender_id, create_cost, tx)
-
     def _rsu_handle_hello(self, now, rsu, msg, sender_id, create_cost, tx):
         # cheap freshness check before any expensive work
         start = max(now, rsu.busy_until)
@@ -828,6 +802,26 @@ class Simulation:
             self.mac_drops += 1
             return
         self._sample(sender_id, create_cost, tx, end - now)
+
+
+# Delivery handlers by receiver kind and message type. Unbound methods, so that
+# a Simulation holds no table of bound methods (a reference cycle per instance);
+# a message type missing from a table is ignored by that kind of receiver.
+_VEHICLE_HANDLERS = {
+    wire.RsuBeacon: Simulation._vehicle_handle_beacon,
+    wire.AuthChallenge: Simulation._vehicle_handle_challenge,
+    wire.ShareUpdate: Simulation._vehicle_handle_share_update,
+    wire.GroupKeyNotice: Simulation._vehicle_handle_notice,
+    wire.LeaveUpdate: Simulation._vehicle_handle_leave_update,
+    wire.GroupBroadcast: Simulation._vehicle_handle_broadcast,
+}
+_RSU_HANDLERS = {
+    wire.AuthHello: Simulation._rsu_handle_hello,
+    wire.AuthConfirm: Simulation._rsu_handle_confirm,
+    wire.ShareOffer: Simulation._rsu_handle_offer,
+    wire.GroupKeyTransfer: Simulation._rsu_handle_transfer,
+    wire.GroupBroadcast: Simulation._rsu_handle_broadcast,
+}
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple, get_args
 
@@ -359,9 +360,14 @@ def decode_message(data: bytes, element_width: int) -> WireMessage:
     return msg
 
 
+@lru_cache(maxsize=32)
 def mac_input(msg: WireMessage, element_width: int) -> bytes:
     """Canonical bytes a message's MAC is computed over: the encoding with
-    the mac field (always the last 16 bytes) zeroed."""
+    the mac field (always the last 16 bytes) zeroed.
+
+    Memoized by value: messages are frozen dataclasses that hash and compare
+    by class and fields, so every receiver of one broadcast shares one
+    encoding."""
     if msg.LAYOUT[-1] != "mac":
         raise TypeError(f"{type(msg).__name__} carries no mac")
     return encode_message(msg, element_width)[:-MAC_LEN] + _NO_MAC
@@ -378,10 +384,13 @@ class Channel(NamedTuple):
     enc_key: bytes
     mac_key: bytes
 
-    @classmethod
-    def derive(cls, secret: int, label: bytes) -> "Channel":
-        """The channel of ``secret`` under ``label``: b"n1", b"gk" or b"sk"."""
-        return cls(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def derive(secret: int, label: bytes) -> "Channel":
+        """The channel of ``secret`` under ``label``: b"n1", b"gk" or b"sk".
+
+        Memoized: every member opens each group message under the same key."""
+        return Channel(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
 
     def tag(self, element_width: int, cls: type, *values) -> WireMessage:
         """``cls(*values, mac)``, MACed over its ``mac_input``."""

@@ -1,7 +1,11 @@
+import hashlib
+import hmac
 import random
+from dataclasses import replace
 
 import pytest
 
+from vanetgka import crypto
 from vanetgka.crypto import (
     MAC_LEN,
     PROFILES,
@@ -182,6 +186,27 @@ def test_kdf_deterministic_and_context_separated():
     assert kdf(5, b"enc") == kdf(5, b"enc")
     assert kdf(5, b"enc") != kdf(5, b"mac")
     assert len(kdf(5, b"enc")) == 32
+
+
+def test_kdf_table_gives_the_hmac_under_the_hashed_context():
+    for context in (b"n1:enc", b"gk:mac", b"kem", b""):
+        for value in (0, 1, 255, 256, 2**255 + 3):
+            key = hashlib.sha256(b"kdf:" + context).digest()
+            n = max(1, (value.bit_length() + 7) // 8)
+            expected = hmac.new(key, value.to_bytes(n, "big"), "sha256").digest()
+            assert kdf(value, context) == expected
+    maxsize = crypto._kdf_key.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_element_width_is_cached_per_instance():
+    for params in PROFILES.values():
+        assert params.element_width == (params.p.bit_length() + 7) // 8
+        keyed = params.with_ta_keys(2, 3)
+        assert keyed.element_width == params.element_width
+        assert keyed == replace(params, pk_ta_g=2, pk_ta_g1=3)
+    wide = SystemParams(p=2**70 + 1, q=7, g=2, gt=2)
+    assert wide.element_width == 9
 
 
 def test_kdf_collision_scan():

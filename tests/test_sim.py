@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from vanetgka import sim as sim_module
 from vanetgka.costs import average_delay
 from vanetgka.sim import (
     EventKind,
@@ -164,6 +165,25 @@ def test_samples_name_the_receiver_and_the_sent_message():
     assert all(1 <= s.message <= sim.messages_sent for s in sim.samples)
     pairs = [(s.message, s.receiver) for s in sim.samples]
     assert len(pairs) == len(set(pairs))
+
+
+def test_node_map_holds_every_node_under_its_own_id():
+    sim = Simulation(dataclasses.replace(FAST, n_vehicles=7, n_rsus=3))
+    assert len(sim._nodes) == sim.cfg.n_rsus + sim.cfg.n_vehicles
+    for node in (*sim.rsus, *sim.vehicles):
+        assert sim._nodes[node.node_id] is node
+
+
+def test_node_map_rejects_a_duplicate_id(monkeypatch):
+    # the registry refuses a reused tid, so forge one past it
+    register = sim_module.register_vehicle
+    monkeypatch.setattr(
+        sim_module,
+        "register_vehicle",
+        lambda ta, tid: dataclasses.replace(register(ta, tid), tid=b"rsu-000"),
+    )
+    with pytest.raises(AssertionError, match="duplicate node id"):
+        Simulation(dataclasses.replace(FAST, n_vehicles=1))
 
 
 def test_trace_goes_to_stderr_only(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetgka import wire
-from vanetgka.crypto import get_profile
+from vanetgka.crypto import get_profile, kdf
 from wiregen import random_message
 
 WIDTHS = [1, 8, 33]
@@ -101,6 +101,47 @@ def test_mac_input_zeroes_only_the_mac():
     base = wire.mac_input(msg, 4)
     assert base[-16:] == bytes(16)
     assert wire.decode_message(base, 4).ct == b"ct-bytes"
+
+
+# --- memoized channel derivation and MAC input ---------------------------------
+
+
+def test_memoized_derive_equals_the_kdf_pair():
+    for secret in (1, 5, 2**255 + 7):
+        for label in (b"n1", b"gk", b"sk"):
+            fresh = wire.Channel(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
+            assert wire.Channel.derive(secret, label) == fresh
+            assert wire.Channel.derive(secret, label) == fresh  # from the cache
+
+
+def test_labels_on_one_secret_give_distinct_channels():
+    channels = {wire.Channel.derive(42, label) for label in (b"n1", b"gk", b"sk")}
+    assert len(channels) == 3
+
+
+def test_mac_input_memo_keys_on_class_and_width():
+    ct, mac = b"ct-bytes", b"\xcc" * 16
+    challenge = wire.mac_input(wire.AuthChallenge(ct, mac), 4)
+    confirm = wire.mac_input(wire.AuthConfirm(ct, mac), 4)
+    assert challenge[0] == wire.AuthChallenge.TAG and confirm[0] == wire.AuthConfirm.TAG
+    assert challenge[1:] == confirm[1:]
+    hello = wire.AuthHello(7, 1, b"g", 9, b"k", mac)
+    for width in (8, 16, 8):
+        assert wire.mac_input(hello, width) == wire.encode_message(hello, width)[:-16] + bytes(16)
+    assert wire.mac_input(hello, 8) != wire.mac_input(hello, 16)
+
+
+def test_mac_input_raises_on_every_call_for_a_class_without_mac():
+    beacon = wire.RsuBeacon(1, 2, 3, 4, 5, 6)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            wire.mac_input(beacon, 4)
+
+
+def test_memo_caches_are_bounded():
+    for cached in (wire.Channel.derive, wire.mac_input):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
 
 
 def test_describe_mentions_every_field():
