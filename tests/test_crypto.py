@@ -1,7 +1,6 @@
 import hashlib
 import hmac
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -202,9 +201,7 @@ def test_kdf_table_gives_the_hmac_under_the_hashed_context():
 def test_element_width_is_cached_per_instance():
     for params in PROFILES.values():
         assert params.element_width == (params.p.bit_length() + 7) // 8
-        keyed = params.with_ta_keys(2, 3)
-        assert keyed.element_width == params.element_width
-        assert keyed == replace(params, pk_ta_g=2, pk_ta_g1=3)
+        assert params.with_ta_keys(2, 3).element_width == params.element_width
     wide = SystemParams(p=2**70 + 1, q=7, g=2, gt=2)
     assert wide.element_width == 9
 
