@@ -52,7 +52,7 @@ from .errors import (
     StateError,
     StaleTimestamp,
 )
-from .registry import NodeCredentials, VehicleEpoch, beacon_signed_bytes
+from .registry import NodeCredentials, VehicleEpoch, location_hash
 from .wire import Channel
 
 GK_FID_CT_LEN = SYM_NONCE_LEN + PSEUDONYM_LEN  # the hello field is size-invariant
@@ -106,8 +106,7 @@ def hybrid_encrypt(
 
 
 def hybrid_decrypt(params: SystemParams, sk: Scalar, epk: GElem, ct: bytes) -> bytes:
-    if not 1 <= epk <= params.q:
-        raise DecryptFail("ephemeral key outside the group")
+    params.check_group_elems(epk)
     return sym_decrypt(kdf(params.g_exp(epk, sk), b"kem"), ct)
 
 
@@ -122,17 +121,12 @@ def verify_beacon(params: SystemParams, beacon: wire.RsuBeacon) -> None:
     The hash consistency check runs first so that an edited location is
     reported as LocHashMismatch rather than a generic signature failure.
     """
-    loc_bytes = beacon.loc_x.to_bytes(8, "big", signed=True) + beacon.loc_y.to_bytes(
-        8, "big", signed=True
-    )
-    if params.hash_to_scalar(loc_bytes) != beacon.loc_hash:
+    if location_hash(params, (beacon.loc_x, beacon.loc_y)) != beacon.loc_hash:
         raise LocHashMismatch("beacon location hash mismatch")
     if not schnorr_verify(
         params,
         params.pk_ta_g,
-        beacon_signed_bytes(
-            params, beacon.pk_rsu, (beacon.loc_x, beacon.loc_y), beacon.loc_hash
-        ),
+        wire.signed_input(beacon, params.element_width),
         (beacon.sig_c, beacon.sig_s),
     ):
         raise SigFail("beacon signature invalid")
@@ -182,9 +176,8 @@ def make_hello(
         # keep the hello size-invariant so traffic analysis cannot tell
         # fast-path attempts from cold starts
         gk_fid_ct = rng.randbytes(GK_FID_CT_LEN)
-    epk, kem_ct = hybrid_encrypt(
-        params, session.pk_rsu, session.fid + params.encode_elem(session.n1), rng
-    )
+    kem_plain = wire.pack(wire.AuthHello.KEM, (session.fid, session.n1), params.element_width)
+    epk, kem_ct = hybrid_encrypt(params, session.pk_rsu, kem_plain, rng)
     hello = Channel.derive(session.n1, b"n1").tag(
         params.element_width, wire.AuthHello, session.pk_v, now_ms, gk_fid_ct, epk, kem_ct
     )
@@ -209,10 +202,7 @@ def process_hello(
     if now_ms - hello.ts_ms > delta_max_ms:
         raise StaleTimestamp(f"hello is {now_ms - hello.ts_ms:.0f} ms old")
     plain = hybrid_decrypt(params, rsu_creds.sk, hello.kem_epk, hello.kem_ct)
-    if len(plain) != PSEUDONYM_LEN + params.element_width:
-        raise DecryptFail("hello payload has wrong length")
-    fid = plain[:PSEUDONYM_LEN]
-    n1 = params.decode_elem(plain[PSEUDONYM_LEN:])
+    fid, n1 = wire.unpack(wire.AuthHello.KEM, plain, params.element_width)
     if not 1 <= n1 < params.q:
         raise DecryptFail("hello nonce outside the scalar range")
     channel = Channel.derive(n1, b"n1")
@@ -231,12 +221,7 @@ def process_hello(
     session.alpha = rand_zq_star(rng, params.q)
     t_rsu = params.g1_mul(session.alpha, 1)
     n1_qr = params.g1_mul(n1, rsu_creds.q_u)
-    challenge = channel.seal(
-        params.element_width,
-        wire.AuthChallenge,
-        params.encode_elem(t_rsu) + params.encode_elem(n1_qr),
-        rng,
-    )
+    challenge = channel.seal(params.element_width, wire.AuthChallenge, (t_rsu, n1_qr), rng)
     session.state = AuthState.CHALLENGED
     return session, challenge
 
@@ -256,11 +241,7 @@ def vehicle_confirm(
     if session.state is not AuthState.HELLO_SENT:
         raise StateError(f"confirm invalid in state {session.state.value}")
     channel = Channel.derive(session.n1, b"n1")
-    plain = channel.open(params.element_width, challenge)
-    if len(plain) != 2 * params.element_width:
-        raise DecryptFail("challenge payload has wrong length")
-    t_rsu = params.decode_elem(plain[: params.element_width])
-    n1_qr = params.decode_elem(plain[params.element_width :])
+    t_rsu, n1_qr = channel.open(params.element_width, challenge)
     if n1_qr != params.g1_mul(session.n1, session.q_rsu):
         raise MacFail("challenge echoes a wrong blinded certification value")
 
@@ -273,10 +254,7 @@ def vehicle_confirm(
     confirm = channel.seal(
         params.element_width,
         wire.AuthConfirm,
-        session.fid
-        + params.encode_elem(t_v)
-        + params.encode_elem(params.g1_mul(session.n1, creds.q_u))
-        + params.encode_elem(session.k_v),
+        (session.fid, t_v, params.g1_mul(session.n1, creds.q_u), session.k_v),
         rng,
     )
     session.state = AuthState.CONFIRMED
@@ -292,14 +270,8 @@ def rsu_verify(
     """Final check: recompute the confirmation value and compare."""
     if session.state is not AuthState.CHALLENGED:
         raise StateError(f"verify invalid in state {session.state.value}")
-    plain = Channel.derive(session.n1, b"n1").open(params.element_width, confirm)
-    if len(plain) != PSEUDONYM_LEN + 3 * params.element_width:
-        raise DecryptFail("confirm payload has wrong length")
-    w = params.element_width
-    fid = plain[:PSEUDONYM_LEN]
-    t_v = params.decode_elem(plain[PSEUDONYM_LEN : PSEUDONYM_LEN + w])
-    n1_qv = params.decode_elem(plain[PSEUDONYM_LEN + w : PSEUDONYM_LEN + 2 * w])
-    k_v = params.decode_elem(plain[PSEUDONYM_LEN + 2 * w :])
+    channel = Channel.derive(session.n1, b"n1")
+    fid, t_v, n1_qv, k_v = channel.open(params.element_width, confirm)
     if fid != session.fid:
         raise MacFail("confirm pseudonym does not match the session")
 

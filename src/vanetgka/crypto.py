@@ -134,6 +134,13 @@ class SystemParams:
             raise ValueError(f"fold: {x} outside [1, p-1]")
         return x if x <= self.q else self.p - x
 
+    def check_group_elems(self, *elems: int) -> None:
+        """DecryptFail unless every received value is a representative of G,
+        in [1, q], before it enters the group arithmetic or a key store."""
+        for e in elems:
+            if not 1 <= e <= self.q:
+                raise DecryptFail("element outside the group")
+
     def g_exp(self, a: GElem, b: Scalar) -> GElem:
         """a^b in G; exponents reduce mod q since the group has order q."""
         return self.fold(pow(a, b % self.q, self.p))

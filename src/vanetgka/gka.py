@@ -50,31 +50,6 @@ class GkaPeer:
     pk: GElem
 
 
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
-def _commit_sig_bytes(params: SystemParams, msg: wire.RingCommit) -> bytes:
-    return (
-        b"ring1|"
-        + _lp(msg.tid)
-        + params.encode_elem(msg.x_pub)
-        + params.encode_elem(msg.r_pub)
-        + params.encode_elem(msg.t_pub)
-    )
-
-
-def _response_sig_bytes(params: SystemParams, msg: wire.RingResponse) -> bytes:
-    return (
-        b"ring2|"
-        + _lp(msg.tid)
-        + params.encode_elem(msg.y)
-        + params.encode_elem(msg.s)
-        + len(msg.tokens).to_bytes(4, "big")
-        + b"".join(params.encode_elem(t) for t in msg.tokens)
-    )
-
-
 class GkaSession:
     """One member's state across the two rounds.
 
@@ -103,7 +78,7 @@ class GkaSession:
         self.index = self._index_of[creds.tid]
         self.n = len(self.roster)
         self.pid: Scalar = params.hash_to_scalar(
-            b"".join(_lp(p.tid) for p in self.roster)
+            wire.pack(("var",) * self.n, [p.tid for p in self.roster], params.element_width)
         )
         self.phase = Phase.INIT
         self.x = self.r = self.t = 0
@@ -130,19 +105,15 @@ class GkaSession:
             sig_c=0,
             sig_s=0,
         )
-        c, s = schnorr_sign(params, self.creds.sk, _commit_sig_bytes(params, msg), rng)
+        c, s = schnorr_sign(
+            params, self.creds.sk, wire.signed_input(msg, params.element_width), rng
+        )
         msg = wire.RingCommit(msg.tid, msg.x_pub, msg.r_pub, msg.t_pub, c, s)
         self.commits[self.creds.tid] = msg
         self.phase = Phase.ROUND1_DONE
         return msg
 
-    def _collect(
-        self,
-        messages: Iterable,
-        store: dict,
-        sig_bytes,
-        what: str,
-    ) -> None:
+    def _collect(self, messages: Iterable, store: dict, what: str) -> None:
         for msg in messages:
             if msg.tid not in self._index_of:
                 raise UnknownIdentity(f"{what} from non-roster member {msg.tid!r}")
@@ -153,9 +124,8 @@ class GkaSession:
             if msg.tid in store:
                 raise DuplicateIdentity(f"duplicate {what} from {msg.tid!r}")
             peer = self.roster[self._index_of[msg.tid]]
-            if not schnorr_verify(
-                self.params, peer.pk, sig_bytes(self.params, msg), (msg.sig_c, msg.sig_s)
-            ):
+            signed = wire.signed_input(msg, self.params.element_width)
+            if not schnorr_verify(self.params, peer.pk, signed, (msg.sig_c, msg.sig_s)):
                 raise SigFail(f"bad signature on {what} from {msg.tid!r}")
             store[msg.tid] = msg
         missing = [p.tid for p in self.roster if p.tid not in store]
@@ -167,7 +137,7 @@ class GkaSession:
     def round2(self, commits: Iterable[wire.RingCommit]) -> wire.RingResponse:
         if self.phase is not Phase.ROUND1_DONE:
             raise StateError(f"round2 invalid in phase {self.phase.value}")
-        self._collect(commits, self.commits, _commit_sig_bytes, "round-1 commit")
+        self._collect(commits, self.commits, "round-1 commit")
         params = self.params
         left = self.roster[(self.index - 1) % self.n].tid
         right = self.roster[(self.index + 1) % self.n].tid
@@ -184,20 +154,15 @@ class GkaSession:
         msg = wire.RingResponse(
             tid=self.creds.tid, y=self.y, s=self.s, tokens=tokens, sig_c=0, sig_s=0
         )
-        c, s = schnorr_sign(params, self.creds.sk, _response_sig_bytes(params, msg))
+        c, s = schnorr_sign(params, self.creds.sk, wire.signed_input(msg, params.element_width))
         msg = wire.RingResponse(msg.tid, msg.y, msg.s, msg.tokens, c, s)
         self.responses[self.creds.tid] = msg
         self.phase = Phase.ROUND2_DONE
         return msg
 
     def _challenge_bytes(self, left: GElem, right: GElem) -> bytes:
-        params = self.params
-        return (
-            params.encode_elem(left)
-            + params.encode_elem(right)
-            + b"".join(params.encode_elem(self.commits[p.tid].x_pub) for p in self.roster)
-            + params.encode_elem(self.pid)
-        )
+        values = (left, right, *(self.commits[p.tid].x_pub for p in self.roster), self.pid)
+        return wire.pack(("elem",) * len(values), values, self.params.element_width)
 
     def _token_for(self, sender: bytes, verifier: bytes) -> GElem:
         """Pick the verifier's entry out of the sender's token list."""
@@ -210,7 +175,7 @@ class GkaSession:
     def finalize(self, responses: Iterable[wire.RingResponse]) -> GElem:
         if self.phase is not Phase.ROUND2_DONE:
             raise StateError(f"finalize invalid in phase {self.phase.value}")
-        self._collect(responses, self.responses, _response_sig_bytes, "round-2 response")
+        self._collect(responses, self.responses, "round-2 response")
         params = self.params
 
         # deniability tokens: the sender blinded my T with its r

@@ -29,7 +29,6 @@ from .crypto import (
     Scalar,
     SystemParams,
     hmac_tag,
-    kdf,
     macs_equal,
     sym_decrypt,
     sym_encrypt,
@@ -38,8 +37,8 @@ from .errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
 from .groupkey import GroupState, MemberState
 from .wire import Channel
 
-# fixed one-to-one request constant recognized by the RSU
-VVK_REQUEST = b"VVK-REQ\x00"
+# fixed one-to-one request constant recognized by the RSU: b"VVK-REQ\x00" as a u64
+VVK_REQUEST = int.from_bytes(b"VVK-REQ\x00", "big")
 
 MAC_OVERHEAD = 16
 FID_OVERHEAD = PSEUDONYM_LEN  # 42
@@ -93,7 +92,7 @@ def broadcast(
     rng: random.Random,
 ) -> wire.GroupBroadcast:
     return Channel.derive(gk, b"gk").seal(
-        params.element_width, wire.GroupBroadcast, sender_fid + payload, rng
+        params.element_width, wire.GroupBroadcast, (sender_fid, payload), rng
     )
 
 
@@ -101,10 +100,7 @@ def open_broadcast(
     params: SystemParams, gk: GElem, msg: wire.GroupBroadcast
 ) -> tuple[bytes, bytes]:
     """Returns (sender fid, payload); MacFail under a stale group key."""
-    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
-    if len(plain) < PSEUDONYM_LEN:
-        raise DecryptFail("broadcast shorter than a pseudonym")
-    return plain[:PSEUDONYM_LEN], plain[PSEUDONYM_LEN:]
+    return Channel.derive(gk, b"gk").open(params.element_width, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +112,13 @@ def to_rsu(
     params: SystemParams, member: MemberState, payload: bytes, rng: random.Random
 ) -> wire.UplinkMessage:
     return Channel.derive(member.n1, b"n1").seal(
-        params.element_width, wire.UplinkMessage, payload, rng, member.fid
+        params.element_width, wire.UplinkMessage, (payload,), rng, member.fid
     )
 
 
 def rsu_open_uplink(params: SystemParams, n1: Scalar, msg: wire.UplinkMessage) -> bytes:
-    return Channel.derive(n1, b"n1").open(params.element_width, msg)
+    (payload,) = Channel.derive(n1, b"n1").open(params.element_width, msg)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def request_directory(
     if member.gk is None:
         raise MacFail("requester holds no group key")
     return Channel.derive(member.gk, b"gk").seal(
-        params.element_width, wire.DirectoryRequest, VVK_REQUEST + member.fid, rng
+        params.element_width, wire.DirectoryRequest, (VVK_REQUEST, member.fid), rng
     )
 
 
@@ -143,38 +140,27 @@ def rsu_open_directory_request(
     params: SystemParams, gk: GElem, msg: wire.DirectoryRequest
 ) -> bytes:
     """Validate a directory request; returns the requester's fid."""
-    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
-    if len(plain) != len(VVK_REQUEST) + PSEUDONYM_LEN or not plain.startswith(VVK_REQUEST):
+    request, fid = Channel.derive(gk, b"gk").open(params.element_width, msg)
+    if request != VVK_REQUEST:
         raise DecryptFail("not a directory request")
-    return plain[len(VVK_REQUEST) :]
+    return fid
 
 
 def rsu_serve_directory(
     params: SystemParams, state: GroupState, rng: random.Random
 ) -> wire.DirectoryListing:
-    entries = b"".join(
-        params.encode_elem(rec.blinded) + rec.fid for rec in state.members.values()
-    )
-    plaintext = len(state.members).to_bytes(4, "big") + entries
+    shares = tuple((rec.blinded, rec.fid) for rec in state.members.values())
     return Channel.derive(state.gk, b"gk").seal(
-        params.element_width, wire.DirectoryListing, plaintext, rng, state.epoch
+        params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch
     )
 
 
 def open_directory(
     params: SystemParams, gk: GElem, msg: wire.DirectoryListing
 ) -> dict[bytes, GElem]:
-    plain = Channel.derive(gk, b"gk").open(params.element_width, msg)
-    w = params.element_width
-    entry = w + PSEUDONYM_LEN
-    count = int.from_bytes(plain[:4], "big")
-    if len(plain) != 4 + count * entry:
-        raise DecryptFail("directory listing has wrong length")
-    out: dict[bytes, GElem] = {}
-    for i in range(count):
-        off = 4 + i * entry
-        out[plain[off + w : off + entry]] = params.decode_elem(plain[off : off + w])
-    return out
+    (shares,) = Channel.derive(gk, b"gk").open(params.element_width, msg)
+    params.check_group_elems(*(blinded for blinded, _ in shares))
+    return {fid: blinded for blinded, fid in shares}
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +194,6 @@ def derive_vvk(
     )
 
 
-def _peer_mac_input(
-    sender_fid: bytes, recipient_fid: bytes, epoch: int, inner_ct: bytes
-) -> bytes:
-    return sender_fid + recipient_fid + epoch.to_bytes(8, "big") + inner_ct
-
-
 def send_peer(
     params: SystemParams,
     member: MemberState,
@@ -223,22 +203,15 @@ def send_peer(
 ) -> wire.PeerMessage:
     if channel.epoch != member.epoch:
         raise EpochMismatch("channel belongs to an old epoch")
-    inner_ct = sym_encrypt(kdf(channel.vvk, b"vvk:enc"), payload, rng)
-    inner_mac = hmac_tag(
-        kdf(channel.vvk, b"vvk:mac"),
-        _peer_mac_input(member.fid, channel.peer_fid, channel.epoch, inner_ct),
+    w = params.element_width
+    inner = Channel.derive(channel.vvk, b"vvk")
+    inner_ct = sym_encrypt(inner.enc_key, payload, rng)
+    mac_input = wire.pack(
+        wire.PeerMessage.INNER_MAC, (member.fid, channel.peer_fid, channel.epoch, inner_ct), w
     )
-    envelope = (
-        channel.peer_fid
-        + member.fid
-        + channel.epoch.to_bytes(8, "big")
-        + len(inner_ct).to_bytes(4, "big")
-        + inner_ct
-        + inner_mac
-    )
-    return Channel.derive(member.gk, b"gk").seal(
-        params.element_width, wire.PeerMessage, envelope, rng
-    )
+    inner_mac = hmac_tag(inner.mac_key, mac_input)
+    envelope = (channel.peer_fid, member.fid, channel.epoch, inner_ct, inner_mac)
+    return Channel.derive(member.gk, b"gk").seal(w, wire.PeerMessage, envelope, rng)
 
 
 def recv_peer(
@@ -248,27 +221,16 @@ def recv_peer(
     msg: wire.PeerMessage,
 ) -> bytes:
     """Unwrap both layers; every check failure is typed."""
-    plain = Channel.derive(member.gk, b"gk").open(params.element_width, msg)
-    if len(plain) < 2 * PSEUDONYM_LEN + 12 + 16:
-        raise DecryptFail("peer message envelope too short")
-    recipient = plain[:PSEUDONYM_LEN]
-    sender = plain[PSEUDONYM_LEN : 2 * PSEUDONYM_LEN]
-    epoch = int.from_bytes(plain[2 * PSEUDONYM_LEN : 2 * PSEUDONYM_LEN + 8], "big")
-    n = int.from_bytes(plain[2 * PSEUDONYM_LEN + 8 : 2 * PSEUDONYM_LEN + 12], "big")
-    rest = plain[2 * PSEUDONYM_LEN + 12 :]
-    if len(rest) != n + 16:
-        raise DecryptFail("peer message envelope has wrong length")
-    inner_ct, inner_mac = rest[:n], rest[n:]
+    w = params.element_width
+    recipient, sender, epoch, inner_ct, inner_mac = Channel.derive(member.gk, b"gk").open(w, msg)
     if recipient != member.fid:
         raise FidAbsent("peer message addressed to someone else")
     if sender != channel.peer_fid:
         raise FidAbsent("peer message from an unexpected sender")
     if epoch != channel.epoch:
         raise EpochMismatch("peer message from a different epoch")
-    expected = hmac_tag(
-        kdf(channel.vvk, b"vvk:mac"),
-        _peer_mac_input(sender, recipient, epoch, inner_ct),
-    )
-    if not macs_equal(inner_mac, expected):
+    inner = Channel.derive(channel.vvk, b"vvk")
+    mac_input = wire.pack(wire.PeerMessage.INNER_MAC, (sender, recipient, epoch, inner_ct), w)
+    if not macs_equal(inner_mac, hmac_tag(inner.mac_key, mac_input)):
         raise MacFail("inner mac invalid: not the channel endpoint")
-    return sym_decrypt(kdf(channel.vvk, b"vvk:enc"), inner_ct)
+    return sym_decrypt(inner.enc_key, inner_ct)

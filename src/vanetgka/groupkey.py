@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .auth import AuthSession, is_authenticated
-from .crypto import GElem, PSEUDONYM_LEN, Scalar, SystemParams, rand_zq_star
-from .errors import DecryptFail, DuplicateIdentity, FidAbsent, MacFail, StateError, UnknownIdentity
+from .crypto import GElem, Scalar, SystemParams, rand_zq_star
+from .errors import DuplicateIdentity, FidAbsent, MacFail, StateError, UnknownIdentity
 from .wire import Channel
 
 
@@ -91,20 +91,18 @@ def member_offer(
         raise StateError("share offer requires an authenticated session")
     lam = rand_zq_star(rng, params.q)
     mstate = MemberState(fid=session.fid, n1=session.n1, lam=lam)
-    plaintext = session.fid + params.encode_elem(params.g_exp(params.g, lam))
     offer = Channel.derive(session.n1, b"n1").seal(
-        params.element_width, wire.ShareOffer, plaintext, rng
+        params.element_width, wire.ShareOffer, (session.fid, params.g_exp(params.g, lam)), rng
     )
     return mstate, offer
 
 
 def _open_offer(params: SystemParams, session: AuthSession, offer: wire.ShareOffer) -> GElem:
-    plain = Channel.derive(session.n1, b"n1").open(params.element_width, offer)
-    if len(plain) != PSEUDONYM_LEN + params.element_width:
-        raise DecryptFail("share offer has wrong length")
-    if plain[:PSEUDONYM_LEN] != session.fid:
+    fid, share_base = Channel.derive(session.n1, b"n1").open(params.element_width, offer)
+    if fid != session.fid:
         raise MacFail("share offer pseudonym does not match the channel")
-    return params.decode_elem(plain[PSEUDONYM_LEN:])
+    params.check_group_elems(share_base)
+    return share_base
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +128,14 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     w = params.element_width
     updates = {
         fid: Channel.derive(rec.n1, b"n1").seal(
-            w,
-            wire.ShareUpdate,
-            params.encode_elem(rec.blinded) + params.encode_elem(product),
-            rng,
-            state.epoch,
+            w, wire.ShareUpdate, (rec.blinded, product), rng, state.epoch
         )
         for fid, rec in state.members.items()
     }
     notice = None
     if state.prev_gk is not None:
         notice = Channel.derive(state.prev_gk, b"gk").seal(
-            w, wire.GroupKeyNotice, params.encode_elem(new_gk), rng, state.epoch
+            w, wire.GroupKeyNotice, (new_gk,), rng, state.epoch
         )
     return RekeyResult(epoch=state.epoch, gk=new_gk, share_updates=updates, notice=notice)
 
@@ -183,11 +177,9 @@ def handle_leave(
         return RekeyResult(state.epoch, 0, {}, None), None
     result = rsu_rekey(params, state, rng)
     product = params.g_prod(rec.blinded for rec in state.members.values())
-    plaintext = len(state.members).to_bytes(4, "big") + b"".join(
-        params.encode_elem(rec.blinded) + rec.fid for rec in state.members.values()
-    ) + params.encode_elem(product)
+    shares = tuple((rec.blinded, rec.fid) for rec in state.members.values())
     update = Channel.derive(old_gk, b"gk").seal(
-        params.element_width, wire.LeaveUpdate, plaintext, rng, state.epoch
+        params.element_width, wire.LeaveUpdate, (shares, product), rng, state.epoch
     )
     return result, update
 
@@ -206,11 +198,8 @@ def member_derive(
     params: SystemParams, mstate: MemberState, update: wire.ShareUpdate
 ) -> GElem:
     """Recover the group key from the member's own rekey material."""
-    plain = Channel.derive(mstate.n1, b"n1").open(params.element_width, update)
-    if len(plain) != 2 * params.element_width:
-        raise DecryptFail("share update has wrong length")
-    blinded = params.decode_elem(plain[: params.element_width])
-    product = params.decode_elem(plain[params.element_width :])
+    blinded, product = Channel.derive(mstate.n1, b"n1").open(params.element_width, update)
+    params.check_group_elems(blinded, product)
     mstate.blinded = blinded
     mstate.product = product
     mstate.gk = _derive(params, mstate, blinded, product)
@@ -224,10 +213,9 @@ def member_apply_notice(
     """Existing members pick up the new group key from the broadcast."""
     if mstate.gk is None:
         raise StateError("no previous group key to decrypt the notice with")
-    plain = Channel.derive(mstate.gk, b"gk").open(params.element_width, notice)
-    if len(plain) != params.element_width:
-        raise DecryptFail("group key notice has wrong length")
-    mstate.gk = params.decode_elem(plain)
+    (gk,) = Channel.derive(mstate.gk, b"gk").open(params.element_width, notice)
+    params.check_group_elems(gk)
+    mstate.gk = gk
     mstate.epoch = notice.epoch
     return mstate.gk
 
@@ -236,20 +224,10 @@ def member_derive_from_leave(
     params: SystemParams, mstate: MemberState, update: wire.LeaveUpdate, old_gk: GElem
 ) -> GElem:
     """Find one's own pair in a leave broadcast and derive the new key."""
-    plain = Channel.derive(old_gk, b"gk").open(params.element_width, update)
-    w = params.element_width
-    entry = w + PSEUDONYM_LEN
-    if len(plain) < 4:
-        raise DecryptFail("leave update too short")
-    count = int.from_bytes(plain[:4], "big")
-    if len(plain) != 4 + count * entry + w:
-        raise DecryptFail("leave update has wrong length")
-    product = params.decode_elem(plain[4 + count * entry :])
-    for i in range(count):
-        off = 4 + i * entry
-        blinded = params.decode_elem(plain[off : off + w])
-        fid = plain[off + w : off + entry]
+    shares, product = Channel.derive(old_gk, b"gk").open(params.element_width, update)
+    for blinded, fid in shares:
         if fid == mstate.fid:
+            params.check_group_elems(blinded, product)
             mstate.blinded = blinded
             mstate.product = product
             mstate.gk = _derive(params, mstate, blinded, product)
@@ -270,9 +248,8 @@ def transfer_gk(
         raise StateError("no RSU session key established")
     if state.gk is None:
         raise StateError("no group key to transfer")
-    plaintext = params.encode_elem(state.gk) + state.epoch.to_bytes(8, "big")
     return Channel.derive(rsu_session_key, b"sk").seal(
-        params.element_width, wire.GroupKeyTransfer, plaintext, rng
+        params.element_width, wire.GroupKeyTransfer, (state.gk, state.epoch), rng
     )
 
 
@@ -316,10 +293,7 @@ def receive_gk_transfer(
     msg: wire.GroupKeyTransfer,
     rsu_session_key: GElem,
 ) -> tuple[int, GElem]:
-    plain = Channel.derive(rsu_session_key, b"sk").open(params.element_width, msg)
-    if len(plain) != params.element_width + 8:
-        raise DecryptFail("group key transfer has wrong length")
-    gk = params.decode_elem(plain[: params.element_width])
-    epoch = int.from_bytes(plain[params.element_width :], "big")
+    gk, epoch = Channel.derive(rsu_session_key, b"sk").open(params.element_width, msg)
+    params.check_group_elems(gk)
     store.add(source_tid, epoch, gk)
     return epoch, gk

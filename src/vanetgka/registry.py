@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import wire
@@ -89,16 +89,9 @@ def _check_new_tid(ta: TaState, tid: bytes) -> None:
         raise DuplicateIdentity(f"tid {tid!r} already registered")
 
 
-def beacon_signed_bytes(
-    params: SystemParams, pk_rsu: GElem, loc: tuple[int, int], loc_hash: Scalar
-) -> bytes:
-    """Canonical byte string the TA signs for an RSU beacon."""
-    return (
-        params.encode_elem(pk_rsu)
-        + loc[0].to_bytes(8, "big", signed=True)
-        + loc[1].to_bytes(8, "big", signed=True)
-        + params.encode_elem(loc_hash)
-    )
+def location_hash(params: SystemParams, loc: tuple[int, int]) -> Scalar:
+    """The beacon's hash of its location, in centimeters."""
+    return params.hash_to_scalar(wire.pack(("i64", "i64"), loc, params.element_width))
 
 
 def register_rsu(
@@ -118,20 +111,11 @@ def register_rsu(
         pk=params.g_exp(params.g, xi),
         loc=loc,
     )
-    loc_hash = params.hash_to_scalar(
-        loc[0].to_bytes(8, "big", signed=True) + loc[1].to_bytes(8, "big", signed=True)
-    )
+    unsigned = wire.RsuBeacon(creds.pk, loc[0], loc[1], location_hash(params, loc), 0, 0)
     sig_c, sig_s = schnorr_sign(
-        params, ta.sk_ta, beacon_signed_bytes(params, creds.pk, loc, loc_hash), rng
+        params, ta.sk_ta, wire.signed_input(unsigned, params.element_width), rng
     )
-    beacon = wire.RsuBeacon(
-        pk_rsu=creds.pk,
-        loc_x=loc[0],
-        loc_y=loc[1],
-        loc_hash=loc_hash,
-        sig_c=sig_c,
-        sig_s=sig_s,
-    )
+    beacon = replace(unsigned, sig_c=sig_c, sig_s=sig_s)
     ta.registry[tid] = creds
     ta.beacons[tid] = beacon
     return creds, beacon

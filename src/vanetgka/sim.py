@@ -25,7 +25,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -98,18 +98,7 @@ class ScenarioConfig:
         self.timings.validate()
 
     def to_json_dict(self) -> dict:
-        d = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k != "timings"
-        }
-        d["timings"] = {
-            "t_par": self.timings.t_par,
-            "t_mul": self.timings.t_mul,
-            "t_mp": self.timings.t_mp,
-            "t_hmac": self.timings.t_hmac,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":

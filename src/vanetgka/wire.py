@@ -7,8 +7,10 @@ integers big-endian):
 
   elem        group element, element_width bytes (G, G1 and scalar values alike)
   elem_list   4-byte count + that many elements
+  shares      4-byte count + that many (element, 42-byte pseudonym) pairs
   fid         pseudonym, exactly 42 bytes
   mac         MAC, exactly 16 bytes; when present, always the final field
+  rest        all remaining bytes; when present, always the final field
   u64         8-byte unsigned (timestamps in milliseconds, epochs)
   i64         8-byte signed (location coordinates in centimeters)
   var         4-byte length prefix + bytes (ciphertexts, identities)
@@ -16,11 +18,36 @@ integers big-endian):
 ``decode(encode(m)) == m`` for every message, and decoding rejects unknown
 tags, truncated input and trailing garbage.
 
+The same kinds frame the bytes inside messages: ``pack``/``unpack`` write and
+read any sequence of kinds without a type tag. Each sealed class declares the
+plaintext of its ``ct`` as ``BODY``:
+
+  AuthChallenge     elem, elem                 T_RSU, N1*Q_RSU
+  AuthConfirm       fid, elem, elem, elem      fid, T_V, N1*Q_V, K_V
+  ShareOffer        fid, elem                  fid, g^lambda
+  ShareUpdate       elem, elem                 blinded share, share product
+  GroupKeyNotice    elem                       new group key
+  LeaveUpdate       shares, elem               remaining (blinded, fid), product
+  GroupKeyTransfer  elem, u64                  group key, epoch
+  GroupBroadcast    fid, rest                  sender fid, payload
+  UplinkMessage     rest                       payload
+  DirectoryRequest  u64, fid                   request constant, requester fid
+  DirectoryListing  shares                     every (blinded, fid)
+  PeerMessage       fid, fid, u64, var, mac    recipient, sender, epoch,
+                                               inner ct, inner mac
+
+The hello's ``kem_ct`` plaintext is ``AuthHello.KEM`` (fid, nonce N1), and
+the inner MAC of a peer message covers ``PeerMessage.INNER_MAC`` (sender,
+recipient, epoch, inner ct). A Schnorr signature covers ``signed_input``: the
+class's ``SIG_DOMAIN`` followed by every field but the signature pair.
+
 Every message after the beacon is sealed by a ``Channel``: an encryption key
 and a MAC key derived from one shared secret, the hello nonce N1 (vehicle-RSU
 channel, label ``n1``), the group key (group traffic, ``gk``) or the RSU-to-RSU
 session key (group-key transfer, ``sk``). The MAC covers ``mac_input``, the
-message's encoding with its final 16 bytes zeroed.
+message's encoding with its final 16 bytes zeroed. ``Channel.seal`` takes the
+body's values and ``Channel.open`` returns them; a body that is not exactly
+its ``BODY`` raises ``DecryptFail``.
 """
 
 from __future__ import annotations
@@ -40,7 +67,7 @@ from .crypto import (
     sym_decrypt,
     sym_encrypt,
 )
-from .errors import MacFail
+from .errors import DecryptFail, MacFail
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -66,9 +93,10 @@ class _Writer:
         self.parts.append(v.to_bytes(8, "big", signed=True))
 
     def elem(self, v: int) -> None:
-        if not 0 <= v < 256**self.width:
-            raise ValueError(f"element {v} does not fit width {self.width}")
-        self.parts.append(v.to_bytes(self.width, "big"))
+        try:
+            self.parts.append(v.to_bytes(self.width, "big"))
+        except OverflowError:
+            raise ValueError(f"element {v} does not fit width {self.width}") from None
 
     def fid(self, v: bytes) -> None:
         if len(v) != PSEUDONYM_LEN:
@@ -92,6 +120,17 @@ class _Writer:
         self.parts.append(len(vs).to_bytes(4, "big"))
         for v in vs:
             self.elem(v)
+
+    def shares(self, vs: tuple[tuple[int, bytes], ...]) -> None:
+        if len(vs) > _U32_MAX:
+            raise ValueError("share list too long")
+        self.parts.append(len(vs).to_bytes(4, "big"))
+        for v, fid in vs:
+            self.elem(v)
+            self.fid(fid)
+
+    def rest(self, v: bytes) -> None:
+        self.parts.append(v)
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -138,6 +177,20 @@ class _Reader:
             raise ValueError("truncated message")
         return tuple(self.elem() for _ in range(n))
 
+    def shares(self) -> tuple[tuple[int, bytes], ...]:
+        n = int.from_bytes(self.take(4), "big")
+        w = self.width
+        step = w + PSEUDONYM_LEN
+        # one slice and one pass: every member of a group parses each leave
+        # update, so this is the codec's hottest loop
+        block = self.take(n * step)
+        get = int.from_bytes
+        starts = range(0, len(block), step)
+        return tuple([(get(block[i : i + w], "big"), block[i + w : i + step]) for i in starts])
+
+    def rest(self) -> bytes:
+        return self.take(len(self.data) - self.pos)
+
     def done(self) -> None:
         if self.pos != len(self.data):
             raise ValueError(f"{len(self.data) - self.pos} trailing bytes")
@@ -173,6 +226,7 @@ class RingCommit:
 
     TAG = 0x01
     LAYOUT = ("var", "elem", "elem", "elem", "elem", "elem")
+    SIG_DOMAIN = b"ring1|"
     tid: bytes
     x_pub: int
     r_pub: int
@@ -187,6 +241,7 @@ class RingResponse:
 
     TAG = 0x02
     LAYOUT = ("var", "elem", "elem", "elem_list", "elem", "elem")
+    SIG_DOMAIN = b"ring2|"
     tid: bytes
     y: int
     s: int
@@ -201,6 +256,7 @@ class RsuBeacon:
 
     TAG = 0x10
     LAYOUT = ("elem", "i64", "i64", "elem", "elem", "elem")
+    SIG_DOMAIN = b""
     pk_rsu: int
     loc_x: int
     loc_y: int
@@ -215,6 +271,7 @@ class AuthHello:
 
     TAG = 0x11
     LAYOUT = ("elem", "u64", "var", "elem", "var", "mac")
+    KEM = ("fid", "elem")  # kem_ct plaintext: pseudonym, nonce N1
     pk_v: int
     ts_ms: int
     gk_fid_ct: bytes  # pseudonym under a neighbor group key (or filler)
@@ -227,49 +284,57 @@ class AuthChallenge(_Sealed):
     """RSU challenge carrying its blinded certification values."""
 
     TAG = 0x12
+    BODY = ("elem", "elem")
 
 
 class AuthConfirm(_Sealed):
     """Vehicle key-confirmation response."""
 
     TAG = 0x13
+    BODY = ("fid", "elem", "elem", "elem")
 
 
 class ShareOffer(_Sealed):
     """Member's blinded group-key share, on the per-vehicle channel."""
 
     TAG = 0x20
+    BODY = ("fid", "elem")
 
 
 class ShareUpdate(_EpochSealed):
     """Per-member rekey material (blinded share and share product)."""
 
     TAG = 0x21
+    BODY = ("elem", "elem")
 
 
 class GroupKeyNotice(_EpochSealed):
     """New group key broadcast, encrypted under the previous group key."""
 
     TAG = 0x22
+    BODY = ("elem",)
 
 
 class LeaveUpdate(_EpochSealed):
     """Post-departure rekey broadcast listing the remaining members' shares."""
 
     TAG = 0x23
+    BODY = ("shares", "elem")
 
 
 class GroupKeyTransfer(_Sealed):
-    """Group key handed to a neighbor RSU under the RSU-to-RSU session key;
-    the ciphertext carries (group key, epoch as 8-byte big-endian)."""
+    """Group key and its epoch, handed to a neighbor RSU under the RSU-to-RSU
+    session key."""
 
     TAG = 0x24
+    BODY = ("elem", "u64")
 
 
 class GroupBroadcast(_Sealed):
     """Group-wide message under the group key; sender fid inside."""
 
     TAG = 0x30
+    BODY = ("fid", "rest")
 
 
 @dataclass(frozen=True)
@@ -278,6 +343,7 @@ class UplinkMessage:
 
     TAG = 0x31
     LAYOUT = ("fid", "var", "mac")
+    BODY = ("rest",)
     fid: bytes
     ct: bytes
     mac: bytes
@@ -287,18 +353,22 @@ class DirectoryRequest(_Sealed):
     """Member request for the share directory (one-to-one setup)."""
 
     TAG = 0x32
+    BODY = ("u64", "fid")
 
 
 class DirectoryListing(_EpochSealed):
     """RSU broadcast of all (blinded share, fid) pairs in the group."""
 
     TAG = 0x33
+    BODY = ("shares",)
 
 
 class PeerMessage(_Sealed):
     """Vehicle-to-vehicle message: pairwise-key layer inside group-key layer."""
 
     TAG = 0x34
+    BODY = ("fid", "fid", "u64", "var", "mac")
+    INNER_MAC = ("fid", "fid", "u64", "rest")
 
 
 WireMessage = (
@@ -323,14 +393,26 @@ MESSAGE_TYPES: tuple[type, ...] = get_args(WireMessage)
 
 _BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
 
+
+
+@lru_cache(maxsize=64)
+def _frame(kinds: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """The writer and the reader method of each kind, looked up once per layout."""
+    if "mac" in kinds[:-1] or "rest" in kinds[:-1]:
+        raise ValueError(f"mac and rest may only be the final kind: {kinds}")
+    return tuple(getattr(_Writer, k) for k in kinds), tuple(getattr(_Reader, k) for k in kinds)
+
+
 # per class: the writer and reader method of each field, and a getter that
-# returns the field values in layout order
+# returns the field values in layout order; _frame also rejects, at import, a
+# LAYOUT or BODY with mac or rest anywhere but last
 for _cls in MESSAGE_TYPES:
     _names = [f.name for f in fields(_cls)]
-    assert len(_names) == len(_cls.LAYOUT) and "mac" not in _cls.LAYOUT[:-1], _cls
-    _cls._PUT = tuple(getattr(_Writer, kind) for kind in _cls.LAYOUT)
-    _cls._GET = tuple(getattr(_Reader, kind) for kind in _cls.LAYOUT)
+    assert len(_names) == len(_cls.LAYOUT), _cls
+    _cls._PUT, _cls._GET = _frame(_cls.LAYOUT)
     _cls._VALUES = attrgetter(*_names)
+    if hasattr(_cls, "BODY"):
+        _frame(_cls.BODY)
 
 _NO_MAC = bytes(MAC_LEN)
 
@@ -341,6 +423,34 @@ def _encode(cls: type, values: tuple, element_width: int) -> bytes:
     for put, v in zip(cls._PUT, values):
         put(w, v)
     return w.getvalue()
+
+
+def pack(kinds: tuple[str, ...], values, element_width: int) -> bytes:
+    """``values`` framed by ``kinds``, with no type tag."""
+    w = _Writer(element_width)
+    for put, v in zip(_frame(kinds)[0], values, strict=True):
+        put(w, v)
+    return w.getvalue()
+
+
+def unpack(kinds: tuple[str, ...], data: bytes, element_width: int) -> tuple:
+    """The values ``pack`` framed by ``kinds``; DecryptFail if ``data`` is
+    truncated or longer than the frame."""
+    gets = _frame(kinds)[1]
+    r = _Reader(data, element_width)
+    try:
+        values = tuple([get(r) for get in gets])
+        r.done()
+    except ValueError as e:
+        raise DecryptFail(f"malformed body: {e}") from None
+    return values
+
+
+def signed_input(msg: WireMessage, element_width: int) -> bytes:
+    """Bytes a message's Schnorr signature covers: the class's SIG_DOMAIN,
+    then every field but the final (sig_c, sig_s) pair."""
+    cls = type(msg)
+    return cls.SIG_DOMAIN + pack(cls.LAYOUT[:-2], cls._VALUES(msg)[:-2], element_width)
 
 
 def encode_message(msg: WireMessage, element_width: int) -> bytes:
@@ -376,9 +486,9 @@ def mac_input(msg: WireMessage, element_width: int) -> bytes:
 class Channel(NamedTuple):
     """Encrypt-then-MAC under two keys derived from one shared secret.
 
-    ``seal`` and ``open`` encrypt a plaintext into a message's ``ct`` field
-    and MAC the message. ``tag`` and ``check`` only MAC: the hello carries
-    ciphertexts under other keys, and the fast-path ack an empty ``ct``.
+    ``seal`` and ``open`` encrypt a message's ``BODY`` values into its ``ct``
+    field and MAC the message. ``tag`` and ``check`` only MAC: the hello
+    carries ciphertexts under other keys, and the fast-path ack an empty ``ct``.
     """
 
     enc_key: bytes
@@ -387,7 +497,8 @@ class Channel(NamedTuple):
     @staticmethod
     @lru_cache(maxsize=256)
     def derive(secret: int, label: bytes) -> "Channel":
-        """The channel of ``secret`` under ``label``: b"n1", b"gk" or b"sk".
+        """The channel of ``secret`` under ``label``: b"n1", b"gk", b"sk" or
+        b"vvk" (the inner layer of a peer message).
 
         Memoized: every member opens each group message under the same key."""
         return Channel(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
@@ -402,15 +513,18 @@ class Channel(NamedTuple):
             raise MacFail(f"bad mac on {type(msg).__name__}")
 
     def seal(
-        self, element_width: int, cls: type, plaintext: bytes, rng: random.Random, *head
+        self, element_width: int, cls: type, body: tuple, rng: random.Random, *head
     ) -> WireMessage:
-        """``cls(*head, ct, mac)`` with ``plaintext`` encrypted into ``ct``."""
+        """``cls(*head, ct, mac)`` with ``body`` framed by ``cls.BODY`` and
+        encrypted into ``ct``."""
+        plaintext = pack(cls.BODY, body, element_width)
         return self.tag(element_width, cls, *head, sym_encrypt(self.enc_key, plaintext, rng))
 
-    def open(self, element_width: int, msg: WireMessage) -> bytes:
-        """Check the MAC, then decrypt ``msg.ct``."""
+    def open(self, element_width: int, msg: WireMessage) -> tuple:
+        """Check the MAC, decrypt ``msg.ct`` and return its ``BODY`` values;
+        DecryptFail if the plaintext does not frame exactly."""
         self.check(element_width, msg)
-        return sym_decrypt(self.enc_key, msg.ct)
+        return unpack(msg.BODY, sym_decrypt(self.enc_key, msg.ct), element_width)
 
 
 def describe(msg: WireMessage) -> str:

@@ -302,10 +302,9 @@ def test_inconsistent_confirmation_value_rejected():
 
     channel = wire.Channel.derive(vs.n1, b"n1")
     w = params.element_width
-    plain = bytearray(channel.open(w, confirm))
+    fid, _, n1_qv, k_v = channel.open(w, confirm)
     t_v_tampered = params.g1_mul(vs.beta + 1, 1)
-    plain[42 : 42 + w] = params.encode_elem(t_v_tampered)
-    bad = channel.seal(w, wire.AuthConfirm, bytes(plain), rng)
+    bad = channel.seal(w, wire.AuthConfirm, (fid, t_v_tampered, n1_qv, k_v), rng)
     with pytest.raises(KeyConfirmFail):
         rsu_verify(params, rsu, rs, bad)
 
@@ -329,9 +328,8 @@ def test_wrong_blinded_certification_echo_rejected():
 
     channel = wire.Channel.derive(rs.n1, b"n1")
     w = params.element_width
-    plain = bytearray(channel.open(w, challenge))
-    plain[w:] = params.encode_elem((params.decode_elem(bytes(plain[w:])) + 1) % params.q)
-    bad = channel.seal(w, wire.AuthChallenge, bytes(plain), rng)
+    t_rsu, n1_qr = channel.open(w, challenge)
+    bad = channel.seal(w, wire.AuthChallenge, (t_rsu, (n1_qr + 1) % params.q), rng)
     with pytest.raises(MacFail):
         vehicle_confirm(params, vs, veh, bad, rng)
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from vanetgka import wire
 from vanetgka.crypto import get_profile, schnorr_sign
 from vanetgka.errors import (
     ChainBreak,
@@ -14,7 +15,7 @@ from vanetgka.errors import (
     TokenMismatch,
     UnknownIdentity,
 )
-from vanetgka.gka import GkaPeer, GkaSession, _response_sig_bytes, run_agreement
+from vanetgka.gka import GkaPeer, GkaSession, run_agreement
 from vanetgka.registry import register_rsu, ta_init
 
 
@@ -285,7 +286,7 @@ def test_outsider_tampering_always_detected():
 
 
 def _resign(params, creds, msg):
-    c, s = schnorr_sign(params, creds.sk, _response_sig_bytes(params, msg))
+    c, s = schnorr_sign(params, creds.sk, wire.signed_input(msg, params.element_width))
     return replace(msg, sig_c=c, sig_s=s)
 
 

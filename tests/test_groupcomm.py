@@ -4,7 +4,7 @@ import pytest
 
 from vanetgka import wire
 from vanetgka.crypto import get_profile, hmac_tag, kdf
-from vanetgka.errors import EpochMismatch, FidAbsent, MacFail
+from vanetgka.errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
 from vanetgka.groupcomm import (
     OBU_TO_RSU_TYPES,
     VVK_REQUEST,
@@ -222,19 +222,26 @@ def test_peer_message_confidential_separation(group):
     for trial in range(100):
         forged_inner = rng.randbytes(20)
         forged_mac = hmac_tag(kdf(state.gk, b"vvk:mac"), forged_inner)
-        envelope = (
-            fid_of(1)
-            + fid_of(0)
-            + listing.epoch.to_bytes(8, "big")
-            + len(forged_inner).to_bytes(4, "big")
-            + forged_inner
-            + forged_mac
-        )
+        envelope = (fid_of(1), fid_of(0), listing.epoch, forged_inner, forged_mac)
         forged = wire.Channel.derive(state.gk, b"gk").seal(
             params.element_width, wire.PeerMessage, envelope, rng
         )
         with pytest.raises(MacFail):
             recv_peer(params, mstates[1], ch_10, forged)
+
+
+def test_directory_share_outside_group_rejected(group):
+    params, state, mstates = group
+    channel = wire.Channel.derive(state.gk, b"gk")
+    honest = (state.members[fid_of(1)].blinded, fid_of(1))
+    rng = random.Random(14)
+    for bad in (0, params.p, 256**params.element_width - 1):
+        shares = ((bad, fid_of(0)), honest)
+        listing = channel.seal(
+            params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch
+        )
+        with pytest.raises(DecryptFail):
+            open_directory(params, mstates[0].gk, listing)
 
 
 def test_peer_epoch_mismatch_refused(group):

@@ -7,6 +7,7 @@ from vanetgka import wire
 from vanetgka.auth import AuthSession, AuthState
 from vanetgka.crypto import get_profile
 from vanetgka.errors import (
+    DecryptFail,
     DuplicateIdentity,
     FidAbsent,
     MacFail,
@@ -297,12 +298,8 @@ def test_forward_security_full_protocol_exhaustive_over_gamma():
         assert state.gamma == gamma
 
         # the leaver can open the broadcast (it still holds the old gk)
-        plain = wire.Channel.derive(old_gk, b"gk").open(w, update)
-        count = int.from_bytes(plain[:4], "big")
-        shares = [
-            params.decode_elem(plain[4 + i * (w + 42) : 4 + i * (w + 42) + w])
-            for i in range(count)
-        ]
+        entries, _ = wire.Channel.derive(old_gk, b"gk").open(w, update)
+        shares = [blinded for blinded, _ in entries]
 
         inv = pow(leaver.lam, -1, params.q)
         candidates = {params.g_exp(b, inv) for b in shares}
@@ -393,3 +390,89 @@ def test_neighbor_store_keeps_bounded_history():
         store.add(b"s", epoch, 1000 + epoch)
     assert store.current(b"s") == 1009
     assert store.candidates() == [1009, 1008, 1007]
+
+
+# --- received elements outside the group ------------------------------------------
+
+
+def outside_group(params):
+    """Element values that fit the wire width but are not in G's [1, q]."""
+    return (0, params.p, 256**params.element_width - 1)
+
+
+def test_share_offer_outside_group_rejected():
+    params = get_profile("small64")
+    session = auth_session(1, n1=5)
+    channel = wire.Channel.derive(session.n1, b"n1")
+    rng = random.Random(20)
+    for bad in outside_group(params):
+        state = GroupState()
+        offer = channel.seal(params.element_width, wire.ShareOffer, (session.fid, bad), rng)
+        with pytest.raises(DecryptFail):
+            handle_join(params, state, session, offer, rng)
+        assert not state.members
+
+
+def test_share_update_outside_group_rejected():
+    params = get_profile("small64")
+    state, mstates, result = make_group(params, [3, 5], [])
+    ms = mstates[0]
+    channel = wire.Channel.derive(ms.n1, b"n1")
+    w = params.element_width
+    blinded, product = channel.open(w, result.share_updates[ms.fid])
+    rng = random.Random(21)
+    for bad in outside_group(params):
+        for body in ((bad, product), (blinded, bad)):
+            update = channel.seal(w, wire.ShareUpdate, body, rng, state.epoch)
+            with pytest.raises(DecryptFail):
+                member_derive(params, ms, update)
+            assert ms.gk is None
+
+
+def test_group_key_notice_outside_group_rejected():
+    params = get_profile("small64")
+    state, mstates, result = make_group(params, [3, 5], [])
+    ms = mstates[0]
+    member_derive(params, ms, result.share_updates[ms.fid])
+    channel = wire.Channel.derive(state.gk, b"gk")
+    rng = random.Random(22)
+    for bad in outside_group(params):
+        notice = channel.seal(params.element_width, wire.GroupKeyNotice, (bad,), rng, 2)
+        with pytest.raises(DecryptFail):
+            member_apply_notice(params, ms, notice)
+        assert ms.gk == state.gk
+
+
+def test_leave_update_outside_group_rejected():
+    """A member holding the old key forges the victim's entry or the product."""
+    params = get_profile("small64")
+    state, mstates, result = make_group(params, [3, 5, 7], [])
+    for ms in mstates:
+        member_derive(params, ms, result.share_updates[ms.fid])
+    old_gk = state.gk
+    _, update = handle_leave(params, state, mstates[2].fid, random.Random(23))
+    channel = wire.Channel.derive(old_gk, b"gk")
+    w = params.element_width
+    shares, product = channel.open(w, update)
+    victim = mstates[0]
+    rng = random.Random(24)
+    for bad in outside_group(params):
+        own_bad = tuple((bad if fid == victim.fid else b, fid) for b, fid in shares)
+        for body in ((own_bad, product), (shares, bad)):
+            forged = channel.seal(w, wire.LeaveUpdate, body, rng, update.epoch)
+            with pytest.raises(DecryptFail):
+                member_derive_from_leave(params, victim, forged, old_gk)
+            assert victim.gk == old_gk
+
+
+def test_transfer_outside_group_rejected():
+    params = get_profile("small64")
+    sk = params.g_exp(params.g, 777)
+    channel = wire.Channel.derive(sk, b"sk")
+    store = NeighborGkStore()
+    rng = random.Random(25)
+    for bad in outside_group(params):
+        msg = channel.seal(params.element_width, wire.GroupKeyTransfer, (bad, 5), rng)
+        with pytest.raises(DecryptFail):
+            receive_gk_transfer(params, store, b"rsu-a", msg, sk)
+    assert store.candidates() == []

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetgka import wire
-from vanetgka.crypto import get_profile, kdf
+from vanetgka.crypto import get_profile, kdf, sym_encrypt
+from vanetgka.errors import DecryptFail
 from wiregen import random_message
 
 WIDTHS = [1, 8, 33]
@@ -152,3 +154,101 @@ def test_describe_mentions_every_field():
         text = wire.describe(msg)
         assert cls.__name__ in text
         assert f"0x{cls.TAG:02x}" in text
+
+
+# --- sealed bodies -------------------------------------------------------------
+
+BODY_TYPES = [cls for cls in wire.MESSAGE_TYPES if hasattr(cls, "BODY")]
+
+
+def random_values(kinds, rng, width):
+    def elem():
+        return rng.randrange(0, 256**width)
+
+    def var():
+        return rng.randbytes(rng.randrange(0, 80))
+
+    gen = {
+        "elem": elem,
+        "elem_list": lambda: tuple(elem() for _ in range(rng.randrange(0, 8))),
+        "shares": lambda: tuple((elem(), rng.randbytes(42)) for _ in range(rng.randrange(1, 6))),
+        "fid": lambda: rng.randbytes(42),
+        "mac": lambda: rng.randbytes(16),
+        "u64": lambda: rng.randrange(2**64),
+        "i64": lambda: rng.randrange(-(2**63), 2**63),
+        "var": var,
+        "rest": var,
+    }
+    return tuple(gen[kind]() for kind in kinds)
+
+
+def test_every_sealed_class_declares_a_body():
+    sealed = {cls for cls in wire.MESSAGE_TYPES if "var" in cls.LAYOUT and cls.LAYOUT[-1] == "mac"}
+    assert set(BODY_TYPES) == sealed - {wire.AuthHello}
+
+
+@pytest.mark.parametrize("cls", BODY_TYPES)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_body_round_trip(cls, width):
+    rng = random.Random(cls.TAG * 100 + width)
+    for _ in range(50):
+        values = random_values(cls.BODY, rng, width)
+        data = wire.pack(cls.BODY, values, width)
+        assert wire.unpack(cls.BODY, data, width) == values
+
+
+@pytest.mark.parametrize("cls", BODY_TYPES)
+def test_body_truncation_and_trailing_byte_raise_decrypt_fail(cls):
+    width = 8
+    values = random_values(cls.BODY, random.Random(cls.TAG), width)
+    data = wire.pack(cls.BODY, values, width)
+    if cls.BODY[-1] == "rest":
+        # a cut inside the final rest field still frames, with a shorter rest
+        fixed = len(data) - len(values[-1])
+        for cut in range(fixed, len(data) + 1):
+            assert wire.unpack(cls.BODY, data[:cut], width) == (
+                *values[:-1],
+                values[-1][: cut - fixed],
+            )
+    else:
+        fixed = len(data)
+        with pytest.raises(DecryptFail):
+            wire.unpack(cls.BODY, data + b"\x00", width)
+    for cut in range(fixed):
+        with pytest.raises(DecryptFail):
+            wire.unpack(cls.BODY, data[:cut], width)
+
+
+def test_channel_open_rejects_a_misframed_body():
+    channel = wire.Channel.derive(7, b"gk")
+    rng = random.Random(3)
+    assert channel.open(8, channel.seal(8, wire.GroupKeyNotice, (5,), rng, 1)) == (5,)
+    for plain in (bytes(7), bytes(9)):
+        msg = channel.tag(8, wire.GroupKeyNotice, 1, sym_encrypt(channel.enc_key, plain, rng))
+        with pytest.raises(DecryptFail):
+            channel.open(8, msg)
+
+
+def test_shares_count_beyond_the_data_rejected_before_any_entry_is_built():
+    width = 8
+    entries = tuple((i + 1, bytes([i % 256]) * 42) for i in range(1000))
+    data = wire.pack(("shares",), (entries,), width)
+    for count in (1001, 2**32 - 1):
+        forged = count.to_bytes(4, "big") + data[4:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecryptFail):
+                wire.unpack(("shares",), forged, width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1000 entries that are present take over 100 kB once built
+        assert peak < 20_000
+
+
+def test_mac_and_rest_only_as_the_final_kind():
+    for kinds in (("rest", "fid"), ("mac", "fid"), ("rest", "mac")):
+        with pytest.raises(ValueError, match="final kind"):
+            wire.pack(kinds, (b"", bytes(42)), 4)
+        with pytest.raises(ValueError, match="final kind"):
+            wire.unpack(kinds, bytes(58), 4)
