@@ -189,7 +189,7 @@ def process_hello(
     params: SystemParams,
     rsu_creds: NodeCredentials,
     hello: wire.AuthHello,
-    now_ms: int,
+    now_ms: float,
     delta_max_ms: float,
     neighbor_gks: list[GElem],
     rng: random.Random,

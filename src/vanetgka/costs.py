@@ -48,10 +48,6 @@ class CostForm:
             + (self.mp[0] * n + self.mp[1]) * t.t_mp
         )
 
-    @property
-    def has_constant_term(self) -> bool:
-        return self.mul[1] != 0 or self.par[1] != 0 or self.mp[1] != 0
-
 
 OBU = "obu"
 RSU = "rsu"
@@ -160,22 +156,38 @@ class DelaySample:
     t_transmit: float
     t_verify: float
 
-    @property
-    def total(self) -> float:
-        return self.t_create + self.t_transmit + self.t_verify
+
+class DelayMean:
+    """Mean over creators of the per-creator mean message delay, kept as a
+    running (total, count) per creator rather than as samples."""
+
+    def __init__(self) -> None:
+        self._per_creator: dict[Hashable, tuple[float, int]] = {}
+
+    def add(
+        self, creator: Hashable, t_create: float, t_transmit: float, t_verify: float
+    ) -> None:
+        total, count = self._per_creator.get(creator, (0.0, 0))
+        self._per_creator[creator] = (total + t_create + t_transmit + t_verify, count + 1)
+
+    def value(self) -> float | None:
+        """The mean, or None before the first sample."""
+        if not self._per_creator:
+            return None
+        return sum(t / c for t, c in self._per_creator.values()) / len(self._per_creator)
 
 
 def average_delay(samples: Iterable[DelaySample]) -> float:
     """Mean over creators of the per-creator mean message delay."""
-    per_creator: dict[Hashable, tuple[float, int]] = {}
+    mean = DelayMean()
     for s in samples:
         if min(s.t_create, s.t_transmit, s.t_verify) < 0:
             raise ValueError("delay components must be nonnegative")
-        total, count = per_creator.get(s.creator, (0.0, 0))
-        per_creator[s.creator] = (total + s.total, count + 1)
-    if not per_creator:
+        mean.add(s.creator, s.t_create, s.t_transmit, s.t_verify)
+    value = mean.value()
+    if value is None:
         raise ValueError("no delay samples")
-    return sum(total / count for total, count in per_creator.values()) / len(per_creator)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .crypto import (
     rand_zq_star,
     schnorr_sign,
 )
-from .errors import DuplicateIdentity, TraceMismatch, UnknownIdentity
+from .errors import DuplicateIdentity, TraceMismatch
 
 ROLE_RSU = "rsu"
 ROLE_VEHICLE = "vehicle"
@@ -251,10 +251,3 @@ def load_ta(directory: Path | str) -> TaState:
             msg = wire.decode_message(bytes.fromhex(node["beacon"]), params.element_width)
             ta.beacons[tid] = msg
     return ta
-
-
-def lookup(ta: TaState, tid: bytes) -> NodeCredentials:
-    try:
-        return ta.registry[tid]
-    except KeyError:
-        raise UnknownIdentity(f"tid {tid!r} not registered") from None

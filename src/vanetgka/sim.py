@@ -11,6 +11,12 @@ and a message's verification delay includes the time it waited for the
 processor.  Transmission time is wire bytes over the configured
 bandwidth plus a fixed propagation term.
 
+Every delivery goes through ``Simulation._on_delivery``: a handler per
+receiver kind and message type returns when its verification ended (None
+if its guard ignores the message); a ``ProtocolError`` it lets out counts
+in ``Simulation.drops`` by (message type, error class), an end time
+becomes one delay sample.
+
 Scheduling is a single binary heap ordered by (time, sequence number),
 all randomness flows from one seeded generator, and reports are
 byte-identical across runs with the same configuration.
@@ -25,12 +31,13 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
-from .costs import DelaySample, PrimitiveTimings
+from .costs import DelayMean, DelaySample, PrimitiveTimings
 from .crypto import GElem
 from .errors import ProtocolError
 from .gka import run_agreement
@@ -273,16 +280,28 @@ class Simulation:
         self.obu_overhead_values: set[int] = set()
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.stale_drops = 0
-        self.mac_drops = 0
-        self.failed_full_auths = 0
+        # rejected deliveries by (message type, ProtocolError subclass) name
+        self.drops: Counter[tuple[str, str]] = Counter()
         self.incomplete_associations = 0
-        self._delay_acc: dict[bytes, tuple[float, int]] = {}
-        self._delivering: tuple[int, bytes] = (0, b"")  # (message id, receiver)
+        self.delay = DelayMean()
 
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._schedule_initial_events()
+
+    # Totals that the benchmark and the tests read, as views of ``drops``.
+
+    @property
+    def failed_full_auths(self) -> int:
+        return sum(n for (kind, _), n in self.drops.items() if kind == "AuthConfirm")
+
+    @property
+    def stale_drops(self) -> int:
+        return self.drops["AuthHello", "StaleTimestamp"]
+
+    @property
+    def mac_drops(self) -> int:
+        return self.drops.total() - self.stale_drops - self.failed_full_auths
 
     # -- scheduling ----------------------------------------------------------
 
@@ -323,11 +342,10 @@ class Simulation:
 
     # -- busy cursors and transmission ------------------------------------------
 
-    def _charge(self, node, now: float, cost: float) -> tuple[float, float]:
-        start = max(now, node.busy_until)
-        end = start + cost
-        node.busy_until = end
-        return start, end
+    def _charge(self, node, now: float, cost: float) -> float:
+        """Queue ``cost`` on the node's processor; returns when it is done."""
+        node.busy_until = max(now, node.busy_until) + cost
+        return node.busy_until
 
     def _tx_ms(self, nbytes: int) -> float:
         return nbytes * 8 / (self.cfg.bandwidth_mbps * 1000.0) + self.cfg.propagation_ms
@@ -367,12 +385,16 @@ class Simulation:
             )
 
     def _sample(
-        self, creator: bytes, t_create: float, t_transmit: float, t_verify: float
+        self,
+        creator: bytes,
+        msg_id: int,
+        receiver: bytes,
+        t_create: float,
+        t_transmit: float,
+        t_verify: float,
     ) -> None:
-        total, count = self._delay_acc.get(creator, (0.0, 0))
-        self._delay_acc[creator] = (total + t_create + t_transmit + t_verify, count + 1)
+        self.delay.add(creator, t_create, t_transmit, t_verify)
         if self.keep_samples:
-            msg_id, receiver = self._delivering
             self.samples.append(
                 DelaySample(creator, msg_id, receiver, t_create, t_transmit, t_verify)
             )
@@ -403,13 +425,9 @@ class Simulation:
         print(f"[sim] t={time_ms:10.3f} {ev.kind.value} {data}", file=sys.stderr, flush=True)
 
     def _report(self) -> MetricsReport:
-        if self._delay_acc:
-            avg = sum(t / c for t, c in self._delay_acc.values()) / len(self._delay_acc)
-        else:
-            avg = None
         return MetricsReport(
             n_vehicles=self.cfg.n_vehicles,
-            average_delay_ms=avg,
+            average_delay_ms=self.delay.value(),
             total_overhead_bytes=self.total_overhead_bytes,
             auth_count=self.auth_count,
             fastpath_count=self.fastpath_count,
@@ -470,7 +488,7 @@ class Simulation:
         cost = self.charges.rekey_base + self.charges.rekey_per_member * len(
             rsu.group.members
         )
-        start, end = self._charge(rsu, now, cost)
+        end = self._charge(rsu, now, cost)
         _, update = groupkey.handle_leave(self.params, rsu.group, fid, self.rng)
         self.rekey_count += 1
         if update is not None:
@@ -507,8 +525,8 @@ class Simulation:
         create_cost: float,
         tx: float,
     ) -> None:
+        """The one delivery path (see the module docstring)."""
         self.messages_delivered += 1
-        self._delivering = (msg_id, receiver_id)
         node = self._nodes[receiver_id]
         if type(node) is _VehicleNode:
             if not node.on_road:
@@ -516,83 +534,62 @@ class Simulation:
             handler = _VEHICLE_HANDLERS.get(type(msg))
         else:
             handler = _RSU_HANDLERS.get(type(msg))
-        if handler is not None:
-            handler(self, now, node, msg, sender_id, create_cost, tx)
+        if handler is None:
+            return
+        try:
+            end = handler(self, now, node, msg, sender_id)
+        except ProtocolError as exc:
+            self.drops[type(msg).__name__, type(exc).__name__] += 1
+            return
+        if end is not None:
+            self._sample(sender_id, msg_id, receiver_id, create_cost, tx, end - now)
 
     # -- vehicle side -------------------------------------------------------------------
 
-    def _vehicle_handle_beacon(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_beacon(self, now, veh, msg, sender_id):
         rsu = self.rsus[veh.target] if veh.target is not None else None
         if rsu is None or rsu.node_id != sender_id or not self._needs_auth(veh, rsu, now):
-            return
-        start, end = self._charge(
-            veh, now, self.charges.beacon_verify + self.charges.epoch_refresh
-        )
-        try:
-            epoch = refresh_vehicle_epoch(veh.creds, self.params, self.rng)
-            session = auth.start_vehicle_auth(self.params, epoch, msg, rsu.creds.tid)
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
-        veh.session = session
+            return None
+        end = self._charge(veh, now, self.charges.beacon_verify + self.charges.epoch_refresh)
+        epoch = refresh_vehicle_epoch(veh.creds, self.params, self.rng)
+        veh.session = auth.start_vehicle_auth(self.params, epoch, msg, rsu.creds.tid)
         veh.auth_started_ms = now
         veh.mstate = None  # a restart abandons any in-flight share offer
-        _, end2 = self._charge(veh, end, self.charges.hello_create)
-        hello = auth.make_hello(self.params, session, veh.prev_gk, self.rng, int(end2))
+        hello_end = self._charge(veh, end, self.charges.hello_create)
+        hello = auth.make_hello(self.params, veh.session, veh.prev_gk, self.rng, int(hello_end))
         self._send(
-            hello, veh.node_id, [rsu.node_id], end2, self.charges.hello_create, to_rsu=True
+            hello, veh.node_id, [rsu.node_id], hello_end, self.charges.hello_create, to_rsu=True
         )
+        return end
 
-    def _vehicle_handle_challenge(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_challenge(self, now, veh, msg, sender_id):
         if veh.session is None or veh.target is None or veh.joined:
-            return
+            return None
         rsu = self.rsus[veh.target]
         if rsu.node_id != sender_id:
-            return
+            return None
         if auth.is_fastpath_ack(msg):
-            start, end = self._charge(veh, now, self.charges.ack)
-            try:
-                auth.vehicle_apply_fastpath_ack(self.params, veh.session, msg)
-            except ProtocolError:
-                self.mac_drops += 1
-                return
-            self._sample(sender_id, create_cost, tx, end - now)
-            self._vehicle_send_offer(end, veh, rsu)
-            return
-        start, end = self._charge(veh, now, self.charges.confirm_create)
-        try:
-            confirm = auth.vehicle_confirm(
-                self.params, veh.session, veh.creds, msg, self.rng
+            end = self._charge(veh, now, self.charges.ack)
+            auth.vehicle_apply_fastpath_ack(self.params, veh.session, msg)
+        else:
+            end = self._charge(veh, now, self.charges.confirm_create)
+            confirm = auth.vehicle_confirm(self.params, veh.session, veh.creds, msg, self.rng)
+            self._send(
+                confirm, veh.node_id, [rsu.node_id], end, self.charges.confirm_create, to_rsu=True
             )
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+        # pipeline the share offer right behind the ack or the confirmation
+        offer_end = self._charge(veh, end, self.charges.offer_create)
+        veh.mstate, offer = groupkey.member_offer(self.params, veh.session, self.rng)
         self._send(
-            confirm, veh.node_id, [rsu.node_id], end, self.charges.confirm_create, to_rsu=True
+            offer, veh.node_id, [rsu.node_id], offer_end, self.charges.offer_create, to_rsu=True
         )
-        # pipeline the share offer right behind the confirmation
-        self._vehicle_send_offer(end, veh, rsu)
+        return end
 
-    def _vehicle_send_offer(self, when: float, veh: _VehicleNode, rsu: _RsuNode) -> None:
-        _, end = self._charge(veh, when, self.charges.offer_create)
-        mstate, offer = groupkey.member_offer(self.params, veh.session, self.rng)
-        veh.mstate = mstate
-        self._send(
-            offer, veh.node_id, [rsu.node_id], end, self.charges.offer_create, to_rsu=True
-        )
-
-    def _vehicle_handle_share_update(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_share_update(self, now, veh, msg, sender_id):
         if veh.mstate is None or veh.joined or veh.target is None:
-            return
-        start, end = self._charge(veh, now, self.charges.derive)
-        try:
-            groupkey.member_derive(self.params, veh.mstate, msg)
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(veh, now, self.charges.derive)
+        groupkey.member_derive(self.params, veh.mstate, msg)
         veh.joined = True
         if not veh.broadcast_armed:
             # one self-rescheduling broadcast chain per vehicle, ever
@@ -604,41 +601,28 @@ class Simulation:
                     (veh.index,),
                 )
             )
+        return end
 
-    def _vehicle_handle_notice(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_notice(self, now, veh, msg, sender_id):
         if veh.mstate is None or not veh.joined:
-            return
-        start, end = self._charge(veh, now, self.charges.seal)
-        try:
-            groupkey.member_apply_notice(self.params, veh.mstate, msg)
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(veh, now, self.charges.seal)
+        groupkey.member_apply_notice(self.params, veh.mstate, msg)
+        return end
 
-    def _vehicle_handle_leave_update(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_leave_update(self, now, veh, msg, sender_id):
         if veh.mstate is None or not veh.joined or veh.mstate.gk is None:
-            return
-        start, end = self._charge(veh, now, self.charges.derive)
-        try:
-            groupkey.member_derive_from_leave(
-                self.params, veh.mstate, msg, veh.mstate.gk
-            )
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(veh, now, self.charges.derive)
+        groupkey.member_derive_from_leave(self.params, veh.mstate, msg, veh.mstate.gk)
+        return end
 
-    def _vehicle_handle_broadcast(self, now, veh, msg, sender_id, create_cost, tx):
+    def _vehicle_handle_broadcast(self, now, veh, msg, sender_id):
         if veh.mstate is None or not veh.joined or veh.mstate.gk is None:
-            return
-        start, end = self._charge(veh, now, self.charges.seal)
-        try:
-            groupcomm.open_broadcast(self.params, veh.mstate.gk, msg)
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(veh, now, self.charges.seal)
+        groupcomm.open_broadcast(self.params, veh.mstate.gk, msg)
+        return end
 
     def _jittered_interval(self) -> float:
         jitter = self.cfg.interval_variance_s * 1000.0
@@ -650,7 +634,7 @@ class Simulation:
             return
         if veh.joined and veh.mstate is not None and veh.target is not None:
             rsu = self.rsus[veh.target]
-            _, end = self._charge(veh, now, self.charges.seal)
+            end = self._charge(veh, now, self.charges.seal)
             payload = self.rng.randbytes(self.cfg.message_size_bytes)
             msg = groupcomm.broadcast(
                 self.params, veh.mstate.gk, veh.mstate.fid, payload, self.rng
@@ -677,62 +661,45 @@ class Simulation:
 
     # -- rsu side --------------------------------------------------------------------
 
-    def _rsu_handle_hello(self, now, rsu, msg, sender_id, create_cost, tx):
-        # cheap freshness check before any expensive work
-        start = max(now, rsu.busy_until)
-        if start - msg.ts_ms > self.cfg.delta_max_ms:
-            self._charge(rsu, now, self.charges.hello_stale)
-            self.stale_drops += 1
-            return
-        candidates = (
-            rsu.neighbor_store.candidates() if self.cfg.gk_transfer_enabled else []
-        )
+    def _rsu_handle_hello(self, now, rsu, msg, sender_id):
+        candidates = rsu.neighbor_store.candidates() if self.cfg.gk_transfer_enabled else []
         try:
+            # freshness is checked first, against the busy cursor
             session, challenge = auth.process_hello(
                 self.params,
                 rsu.creds,
                 msg,
-                now_ms=int(start),
+                now_ms=max(now, rsu.busy_until),
                 delta_max_ms=self.cfg.delta_max_ms,
                 neighbor_gks=candidates,
                 rng=self.rng,
             )
         except ProtocolError:
             self._charge(rsu, now, self.charges.hello_stale)
-            self.mac_drops += 1
-            return
+            raise
+        rsu.sessions[sender_id] = session
         if challenge is None:
-            _, end = self._charge(rsu, now, self.charges.hello_fast + self.charges.ack)
-            rsu.sessions[sender_id] = session
-            self._sample(sender_id, create_cost, tx, end - now)
-            ack = auth.make_fastpath_ack(self.params, session)
-            self._send(ack, rsu.node_id, [sender_id], end, self.charges.ack)
+            verify_cost, reply_cost = self.charges.hello_fast, self.charges.ack
+            reply = auth.make_fastpath_ack(self.params, session)
         else:
-            _, end = self._charge(
-                rsu, now, self.charges.hello_full + self.charges.challenge_create
-            )
-            rsu.sessions[sender_id] = session
-            self._sample(sender_id, create_cost, tx, end - now)
-            self._send(
-                challenge, rsu.node_id, [sender_id], end, self.charges.challenge_create
-            )
+            verify_cost, reply_cost = self.charges.hello_full, self.charges.challenge_create
+            reply = challenge
+        end = self._charge(rsu, now, verify_cost + reply_cost)
+        self._send(reply, rsu.node_id, [sender_id], end, reply_cost)
+        return end
 
-    def _rsu_handle_confirm(self, now, rsu, msg, sender_id, create_cost, tx):
+    def _rsu_handle_confirm(self, now, rsu, msg, sender_id):
         session = rsu.sessions.get(sender_id)
         if session is None:
-            return
-        start, end = self._charge(rsu, now, self.charges.confirm_verify)
-        try:
-            auth.rsu_verify(self.params, rsu.creds, session, msg)
-        except ProtocolError:
-            self.failed_full_auths += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(rsu, now, self.charges.confirm_verify)
+        auth.rsu_verify(self.params, rsu.creds, session, msg)
+        return end
 
-    def _rsu_handle_offer(self, now, rsu, msg, sender_id, create_cost, tx):
+    def _rsu_handle_offer(self, now, rsu, msg, sender_id):
         session = rsu.sessions.get(sender_id)
         if session is None or not auth.is_authenticated(session):
-            return
+            return None
         cost = (
             self.charges.offer_verify
             + self.charges.rekey_base
@@ -743,16 +710,9 @@ class Simulation:
         old_fid = rsu.member_fid_by_sender.get(sender_id)
         if old_fid is not None and old_fid != session.fid:
             rsu.group.members.pop(old_fid, None)
-        start, end = self._charge(rsu, now, cost)
-        try:
-            result = groupkey.handle_join(
-                self.params, rsu.group, session, msg, self.rng
-            )
-        except ProtocolError:
-            self.mac_drops += 1
-            return
+        end = self._charge(rsu, now, cost)
+        result = groupkey.handle_join(self.params, rsu.group, session, msg, self.rng)
         rsu.member_fid_by_sender[sender_id] = session.fid
-        self._sample(sender_id, create_cost, tx, end - now)
         self.rekey_count += 1
         if session.state is auth.AuthState.FASTPATH_DONE:
             self.fastpath_count += 1
@@ -767,30 +727,23 @@ class Simulation:
             if members:
                 self._send(result.notice, rsu.node_id, members, end, self.charges.seal)
         self._transfer_group_key(rsu, end)
+        return end
 
-    def _rsu_handle_transfer(self, now, rsu, msg, sender_id, create_cost, tx):
+    def _rsu_handle_transfer(self, now, rsu, msg, sender_id):
         if rsu.session_key is None:
-            return
-        start, end = self._charge(rsu, now, self.charges.seal)
-        try:
-            groupkey.receive_gk_transfer(
-                self.params, rsu.neighbor_store, sender_id, msg, rsu.session_key
-            )
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(rsu, now, self.charges.seal)
+        groupkey.receive_gk_transfer(
+            self.params, rsu.neighbor_store, sender_id, msg, rsu.session_key
+        )
+        return end
 
-    def _rsu_handle_broadcast(self, now, rsu, msg, sender_id, create_cost, tx):
+    def _rsu_handle_broadcast(self, now, rsu, msg, sender_id):
         if rsu.group.gk is None:
-            return
-        start, end = self._charge(rsu, now, self.charges.seal)
-        try:
-            groupcomm.open_broadcast(self.params, rsu.group.gk, msg)
-        except ProtocolError:
-            self.mac_drops += 1
-            return
-        self._sample(sender_id, create_cost, tx, end - now)
+            return None
+        end = self._charge(rsu, now, self.charges.seal)
+        groupcomm.open_broadcast(self.params, rsu.group.gk, msg)
+        return end
 
 
 # Delivery handlers by receiver kind and message type. Unbound methods, so that

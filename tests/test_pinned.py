@@ -3,9 +3,10 @@
 One seeded exchange in the small64 profile produces every wire message type
 (plus the fast-path acknowledgement), sealed exactly as the protocol modules
 seal them. Each encoding, MAC included, is compared against hex recorded
-before the codec and the seal/open code were restructured, and two
-simulator reports are compared against their recorded ``repr``. Any change to
-a byte on the wire or to a reported figure fails here.
+before the codec and the seal/open code were restructured, two simulator
+reports are compared against their recorded ``repr``, and one run's drop
+counts against those recorded before the delivery handlers shared one path.
+Any change to a byte on the wire or to a reported figure fails here.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from vanetgka.registry import (
     register_vehicle,
     ta_init,
 )
-from vanetgka.sim import ScenarioConfig, run_scenario
+from vanetgka.sim import ScenarioConfig, Simulation, run_scenario
 
 from test_sim import FAST
 
@@ -236,3 +237,30 @@ def test_simulator_reports_are_pinned():
     assert repr(run_scenario(FAST)) == PINNED_REPORTS["fast"]
     default10 = run_scenario(dataclasses.replace(ScenarioConfig(), n_vehicles=10))
     assert repr(default10) == PINNED_REPORTS["default_n10"]
+
+
+# every one of the earlier counters is nonzero in this run
+DROPS_SCENARIO = dataclasses.replace(
+    FAST, n_vehicles=20, illegal_fraction=0.2, delta_max_ms=10.0, sim_time_s=5.0
+)
+PINNED_DROPS = {
+    ("AuthHello", "StaleTimestamp"): 4,
+    ("AuthConfirm", "KeyConfirmFail"): 26,
+    ("GroupBroadcast", "MacFail"): 1629,
+    ("GroupKeyNotice", "MacFail"): 32,
+    ("LeaveUpdate", "MacFail"): 18,
+}
+
+
+def test_simulator_drops_are_pinned():
+    sim = Simulation(DROPS_SCENARIO)
+    sim.run()
+    assert dict(sim.drops) == PINNED_DROPS
+    counters = (
+        sim.messages_sent,
+        sim.messages_delivered,
+        sim.mac_drops,
+        sim.stale_drops,
+        sim.failed_full_auths,
+    )
+    assert counters == (492, 2041, 1679, 4, 26)

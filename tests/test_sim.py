@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from vanetgka import groupcomm
 from vanetgka import sim as sim_module
 from vanetgka.costs import average_delay
 from vanetgka.sim import (
@@ -151,9 +153,55 @@ def test_conservation_deliveries_do_not_exceed_fanout():
 
 
 def test_streamed_average_matches_reference_metric():
+    # both sum in the same order, so they agree to the last bit
     sim = Simulation(dataclasses.replace(FAST, n_vehicles=4, rng_seed=9), keep_samples=True)
     report = sim.run()
-    assert report.average_delay_ms == pytest.approx(average_delay(sim.samples))
+    assert report.average_delay_ms == average_delay(sim.samples)
+
+
+def _joined_vehicle(sim):
+    return next(v for v in sim.vehicles if v.on_road and v.joined and v.mstate.gk is not None)
+
+
+def _deliver(sim, msg, sender_id, receiver_id):
+    sim._on_delivery(sim.end_ms, msg, sim.messages_sent + 1, sender_id, receiver_id, 0.5, 0.1)
+
+
+def test_a_forged_broadcast_is_one_typed_drop_and_no_sample():
+    sim = Simulation(FAST, keep_samples=True)
+    sim.run()
+    veh = _joined_vehicle(sim)
+    msg = groupcomm.broadcast(sim.params, veh.mstate.gk, veh.mstate.fid, b"payload", sim.rng)
+    forged = dataclasses.replace(msg, mac=bytes(b ^ 1 for b in msg.mac))
+    drops, samples = Counter(sim.drops), len(sim.samples)
+    sender = sim.rsus[0].node_id
+    _deliver(sim, msg, sender, veh.node_id)  # the genuine one is sampled
+    assert sim.drops == drops
+    assert len(sim.samples) == samples + 1 and sim.samples[-1].receiver == veh.node_id
+    _deliver(sim, forged, sender, veh.node_id)
+    drops["GroupBroadcast", "MacFail"] += 1
+    assert sim.drops == drops
+    assert len(sim.samples) == samples + 1
+
+
+def test_a_message_the_guard_ignores_is_neither_drop_nor_sample():
+    sim = Simulation(FAST, keep_samples=True)
+    sim.run()
+    veh = _joined_vehicle(sim)
+    drops, samples, delivered = dict(sim.drops), len(sim.samples), sim.messages_delivered
+    # a joined vehicle does not answer beacons
+    rsu = sim.rsus[veh.target]
+    _deliver(sim, rsu.beacon, rsu.node_id, veh.node_id)
+    assert (dict(sim.drops), len(sim.samples)) == (drops, samples)
+    assert sim.messages_delivered == delivered + 1
+
+
+def test_every_drop_is_counted_once():
+    cfg = dataclasses.replace(FAST, n_vehicles=30, delta_max_ms=3.0, rng_seed=5)
+    sim = Simulation(cfg)
+    sim.run()
+    assert min(sim.mac_drops, sim.stale_drops, sim.failed_full_auths) > 0
+    assert sim.mac_drops + sim.stale_drops + sim.failed_full_auths == sim.drops.total()
 
 
 def test_samples_name_the_receiver_and_the_sent_message():
