@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
@@ -37,10 +38,6 @@ from .registry import (
 from .sim import ScenarioConfig, Simulation, sweep_density, write_sweep_csv
 
 
-def _rng(seed: int | None) -> random.Random:
-    return random.Random(seed)
-
-
 def _parse_loc(text: str) -> tuple[int, int]:
     try:
         x, y = text.split(",")
@@ -55,7 +52,7 @@ def _parse_loc(text: str) -> tuple[int, int]:
 
 
 def _cmd_ta_init(args) -> int:
-    ta = ta_init(args.profile, _rng(args.seed))
+    ta = ta_init(args.profile, random.Random(args.seed))
     save_ta(ta, args.state_dir)
     print(f"initialized trust authority ({args.profile} profile) in {args.state_dir}")
     print(json.dumps(ta.params.to_json_dict(), indent=2))
@@ -65,7 +62,7 @@ def _cmd_ta_init(args) -> int:
 def _cmd_ta_register_rsu(args) -> int:
     ta = load_ta(args.state_dir)
     creds, beacon = register_rsu(
-        ta, args.tid.encode(), _parse_loc(args.loc), _rng(args.seed)
+        ta, args.tid.encode(), _parse_loc(args.loc), random.Random(args.seed)
     )
     save_ta(ta, args.state_dir)
     print(
@@ -120,7 +117,7 @@ def _cmd_ta_trace(args) -> int:
 def _cmd_gka_run(args) -> int:
     if args.n < 2:
         raise ValueError("the agreement needs at least 2 RSUs")
-    rng = _rng(args.seed)
+    rng = random.Random(args.seed)
     ta = ta_init(args.profile, rng)
     members = [
         register_rsu(ta, b"rsu-%03d" % i, (i * 100_000, 0), rng)[0]
@@ -146,7 +143,7 @@ def _cmd_gka_run(args) -> int:
 
 
 def _cmd_auth_demo(args) -> int:
-    rng = _rng(args.seed)
+    rng = random.Random(args.seed)
     ta = ta_init(args.profile, rng)
     params = ta.params
     width = params.element_width
@@ -327,10 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--step", type=int, default=10)
     p.add_argument("--out", default="costs.csv")
-    p.add_argument("--t-par", type=float, default=4.5)
-    p.add_argument("--t-mul", type=float, default=0.6)
-    p.add_argument("--t-mp", type=float, default=0.6)
-    p.add_argument("--t-hmac", type=float, default=0.006)
+    for f in fields(PrimitiveTimings):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
     p.set_defaults(func=_cmd_cost_table)
 
     p = sub.add_parser("simulate", help="run the discrete-event simulation")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import wire
 from .crypto import (
     GElem,
+    MAC_LEN,
     PSEUDONYM_LEN,
     Scalar,
     SystemParams,
@@ -40,9 +41,6 @@ from .wire import Channel
 # fixed one-to-one request constant recognized by the RSU: b"VVK-REQ\x00" as a u64
 VVK_REQUEST = int.from_bytes(b"VVK-REQ\x00", "big")
 
-MAC_OVERHEAD = 16
-FID_OVERHEAD = PSEUDONYM_LEN  # 42
-
 # vehicle-originated message types whose overhead the transmission model
 # counts: one pseudonym plus one MAC each
 OBU_TO_RSU_TYPES = (
@@ -56,17 +54,17 @@ OBU_TO_RSU_TYPES = (
 
 _OVERHEAD_BY_TYPE: dict[type, int] = {
     # vehicle-originated: pseudonym + MAC
-    **{t: FID_OVERHEAD + MAC_OVERHEAD for t in OBU_TO_RSU_TYPES},
+    **{t: PSEUDONYM_LEN + MAC_LEN for t in OBU_TO_RSU_TYPES},
     # peer message: sender pseudonym + inner and outer MACs (the recipient
     # tag inside the envelope is routing data, not counted)
-    wire.PeerMessage: FID_OVERHEAD + 2 * MAC_OVERHEAD,
+    wire.PeerMessage: PSEUDONYM_LEN + 2 * MAC_LEN,
     # infrastructure-originated, MAC only
-    wire.AuthChallenge: MAC_OVERHEAD,
-    wire.ShareUpdate: MAC_OVERHEAD,
-    wire.GroupKeyNotice: MAC_OVERHEAD,
-    wire.LeaveUpdate: MAC_OVERHEAD,
-    wire.GroupKeyTransfer: MAC_OVERHEAD,
-    wire.DirectoryListing: MAC_OVERHEAD,
+    wire.AuthChallenge: MAC_LEN,
+    wire.ShareUpdate: MAC_LEN,
+    wire.GroupKeyNotice: MAC_LEN,
+    wire.LeaveUpdate: MAC_LEN,
+    wire.GroupKeyTransfer: MAC_LEN,
+    wire.DirectoryListing: MAC_LEN,
     # Schnorr-signed announcements carry neither pseudonym nor MAC
     wire.RingCommit: 0,
     wire.RingResponse: 0,

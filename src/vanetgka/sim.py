@@ -11,15 +11,20 @@ and a message's verification delay includes the time it waited for the
 processor.  Transmission time is wire bytes over the configured
 bandwidth plus a fixed propagation term.
 
-Every delivery goes through ``Simulation._on_delivery``: a handler per
-receiver kind and message type returns when its verification ended (None
-if its guard ignores the message); a ``ProtocolError`` it lets out counts
-in ``Simulation.drops`` by (message type, error class), an end time
-becomes one delay sample.
+Scheduling is a single binary heap of ``(time_ms, seq, handler, args)``
+entries, ordered by time and then by push order; ``run()`` pops one and
+calls ``handler(self, time_ms, *args)``.  A send is one delivery entry
+carrying the tuple of its receivers, all of which it reaches at the same
+time; ``Simulation._on_delivery`` takes them in order.  For each, a
+handler per receiver kind and message type returns when its verification
+ended (None if its guard ignores the message); a ``ProtocolError`` it
+lets out counts in ``Simulation.drops`` by (message type, error class),
+an end time becomes one delay sample.
 
-Scheduling is a single binary heap ordered by (time, sequence number),
-all randomness flows from one seeded generator, and reports are
-byte-identical across runs with the same configuration.
+Every entry a handler pushes lies strictly after the time it runs at, so
+simulated time never goes backwards.  All randomness flows from one
+seeded generator, and reports are byte-identical across runs with the
+same configuration.
 
 Set SIM_LOG=trace to dump the event stream to stderr.
 """
@@ -33,7 +38,6 @@ import random
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
@@ -102,6 +106,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if not 0 <= self.illegal_fraction <= 1:
             raise ValueError("illegal_fraction outside [0, 1]")
+        if self.interval_variance_s * 1000.0 >= self.broadcast_interval_ms:
+            # a jittered broadcast interval must stay positive
+            raise ValueError("interval_variance_s must be below broadcast_interval_ms")
         self.timings.validate()
 
     def to_json_dict(self) -> dict:
@@ -120,20 +127,6 @@ class ScenarioConfig:
     @classmethod
     def from_json_file(cls, path: Path | str) -> "ScenarioConfig":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-class EventKind(Enum):
-    BEACON = "beacon"
-    VEHICLE_ENTER_RANGE = "vehicle_enter_range"
-    MESSAGE_DELIVERY = "message_delivery"
-    VEHICLE_BROADCAST = "vehicle_broadcast"
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_ms: float
-    kind: EventKind
-    data: tuple
 
 
 @dataclass(frozen=True)
@@ -285,7 +278,7 @@ class Simulation:
         self.incomplete_associations = 0
         self.delay = DelayMean()
 
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._schedule_initial_events()
 
@@ -305,24 +298,22 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _push(self, ev: SimEvent) -> None:
+    def _push(self, time_ms: float, handler, *args) -> None:
+        """Schedule ``handler(self, time_ms, *args)``; ``handler`` is an unbound
+        method, so that no heap entry holds a reference cycle."""
         self._seq += 1
-        heapq.heappush(self._heap, (ev.time_ms, self._seq, ev))
+        heapq.heappush(self._heap, (time_ms, self._seq, handler, args))
 
     def _schedule_initial_events(self) -> None:
         cfg = self.cfg
         for rsu in self.rsus:
             phase = self.rng.uniform(0, cfg.broadcast_interval_ms)
-            self._push(SimEvent(phase, EventKind.BEACON, (rsu.index,)))
+            self._push(phase, Simulation._on_beacon, rsu.index)
         for veh in self.vehicles:
             veh.target = self._nearest_rsu_index(veh.pos0)
             for t_ms, new_target in self._crossings(veh):
                 if t_ms <= self.end_ms:
-                    self._push(
-                        SimEvent(
-                            t_ms, EventKind.VEHICLE_ENTER_RANGE, (veh.index, new_target)
-                        )
-                    )
+                    self._push(t_ms, Simulation._on_vehicle_enter_range, veh.index, new_target)
 
     def _nearest_rsu_index(self, pos: float) -> int:
         return min(range(len(self.rsus)), key=lambda k: abs(self.rsus[k].pos - pos))
@@ -353,20 +344,20 @@ class Simulation:
     def _send(
         self,
         msg,
-        sender_id: bytes,
-        receivers: list[bytes],
+        sender: _RsuNode | _VehicleNode,
+        receivers: list[bytes] | tuple[bytes, ...],
         depart_ms: float,
         create_cost: float,
-        to_rsu: bool = False,
     ) -> None:
-        """Encode once, count overhead, schedule one delivery per receiver.
+        """Encode once, count overhead if a vehicle sends, schedule one
+        delivery entry for all receivers.
 
         The message id is the send's sequence number, ``messages_sent``."""
         data = wire.encode_message(msg, self.params.element_width)
         decoded = wire.decode_message(data, self.params.element_width)
         self.messages_sent += 1
         msg_id = self.messages_sent
-        if to_rsu:
+        if type(sender) is _VehicleNode:
             self.obu_to_rsu_sends += 1
             overhead = groupcomm.measure_overhead(decoded)
             self.obu_overhead_values.add(overhead)
@@ -375,14 +366,8 @@ class Simulation:
         arrive = depart_ms + tx
         if arrive > self.end_ms:
             return
-        for receiver in receivers:
-            self._push(
-                SimEvent(
-                    arrive,
-                    EventKind.MESSAGE_DELIVERY,
-                    (decoded, msg_id, sender_id, receiver, create_cost, tx),
-                )
-            )
+        args = (decoded, msg_id, sender.node_id, tuple(receivers), create_cost, tx)
+        self._push(arrive, Simulation._on_delivery, *args)
 
     def _sample(
         self,
@@ -402,27 +387,29 @@ class Simulation:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        handlers = {
-            EventKind.BEACON: self._on_beacon,
-            EventKind.VEHICLE_ENTER_RANGE: self._on_enter_range,
-            EventKind.MESSAGE_DELIVERY: self._on_delivery,
-            EventKind.VEHICLE_BROADCAST: self._on_vehicle_broadcast,
-        }
         while self._heap:
-            time_ms, _, ev = heapq.heappop(self._heap)
+            time_ms, _, handler, args = heapq.heappop(self._heap)
             if time_ms > self.end_ms:
                 break
             if self.trace:
-                self._trace(time_ms, ev)
-            handlers[ev.kind](time_ms, *ev.data)
+                self._trace(time_ms, handler, args)
+            handler(self, time_ms, *args)
         return self._report()
 
-    def _trace(self, time_ms: float, ev: SimEvent) -> None:
-        data = ev.data
-        if ev.kind is EventKind.MESSAGE_DELIVERY:
-            msg, msg_id, sender_id, receiver_id = data[:4]
-            data = f"{type(msg).__name__} #{msg_id} {sender_id.decode()} -> {receiver_id.decode()}"
-        print(f"[sim] t={time_ms:10.3f} {ev.kind.value} {data}", file=sys.stderr, flush=True)
+    def _trace(self, time_ms: float, handler, args: tuple) -> None:
+        """A delivery prints one line per receiver; any other event, its
+        handler's name after ``_on_`` and its arguments."""
+        if handler is Simulation._on_delivery:
+            msg, msg_id, sender_id, receivers = args[:4]
+            lines = [
+                f"message_delivery {type(msg).__name__} #{msg_id} "
+                f"{sender_id.decode()} -> {receiver_id.decode()}"
+                for receiver_id in receivers
+            ]
+        else:
+            lines = [f"{handler.__name__.removeprefix('_on_')} {args}"]
+        for line in lines:
+            print(f"[sim] t={time_ms:10.3f} {line}", file=sys.stderr, flush=True)
 
     def _report(self) -> MetricsReport:
         return MetricsReport(
@@ -454,12 +441,10 @@ class Simulation:
             if self._needs_auth(veh, rsu, now) and self._in_rsu_range(
                 rsu, veh.pos(now)
             ):
-                self._send(rsu.beacon, rsu.node_id, [veh.node_id], now, 0.0)
-        self._push(
-            SimEvent(now + self.cfg.broadcast_interval_ms, EventKind.BEACON, (rsu_index,))
-        )
+                self._send(rsu.beacon, rsu, (veh.node_id,), now, 0.0)
+        self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu_index)
 
-    def _on_enter_range(self, now: float, veh_index: int, new_target: int | None) -> None:
+    def _on_vehicle_enter_range(self, now: float, veh_index: int, new_target: int | None) -> None:
         veh = self.vehicles[veh_index]
         old_target = veh.target
         if old_target is not None:
@@ -493,7 +478,7 @@ class Simulation:
         self.rekey_count += 1
         if update is not None:
             members = self._group_members(rsu)
-            self._send(update, rsu.node_id, members, end, self.charges.seal)
+            self._send(update, rsu, members, end, self.charges.seal)
             self._transfer_group_key(rsu, end)
 
     def _group_members(self, rsu: _RsuNode) -> list[bytes]:
@@ -511,7 +496,7 @@ class Simulation:
             if other.index == rsu.index:
                 continue
             msg = groupkey.transfer_gk(self.params, rsu.group, rsu.session_key, self.rng)
-            self._send(msg, rsu.node_id, [other.node_id], depart, self.charges.seal)
+            self._send(msg, rsu, (other.node_id,), depart, self.charges.seal)
 
     # -- deliveries -------------------------------------------------------------------
 
@@ -521,28 +506,29 @@ class Simulation:
         msg,
         msg_id: int,
         sender_id: bytes,
-        receiver_id: bytes,
+        receivers: tuple[bytes, ...],
         create_cost: float,
         tx: float,
     ) -> None:
         """The one delivery path (see the module docstring)."""
-        self.messages_delivered += 1
-        node = self._nodes[receiver_id]
-        if type(node) is _VehicleNode:
-            if not node.on_road:
-                return
-            handler = _VEHICLE_HANDLERS.get(type(msg))
-        else:
-            handler = _RSU_HANDLERS.get(type(msg))
-        if handler is None:
-            return
-        try:
-            end = handler(self, now, node, msg, sender_id)
-        except ProtocolError as exc:
-            self.drops[type(msg).__name__, type(exc).__name__] += 1
-            return
-        if end is not None:
-            self._sample(sender_id, msg_id, receiver_id, create_cost, tx, end - now)
+        for receiver_id in receivers:
+            self.messages_delivered += 1
+            node = self._nodes[receiver_id]
+            if type(node) is _VehicleNode:
+                if not node.on_road:
+                    continue
+                handler = _VEHICLE_HANDLERS.get(type(msg))
+            else:
+                handler = _RSU_HANDLERS.get(type(msg))
+            if handler is None:
+                continue
+            try:
+                end = handler(self, now, node, msg, sender_id)
+            except ProtocolError as exc:
+                self.drops[type(msg).__name__, type(exc).__name__] += 1
+                continue
+            if end is not None:
+                self._sample(sender_id, msg_id, receiver_id, create_cost, tx, end - now)
 
     # -- vehicle side -------------------------------------------------------------------
 
@@ -557,9 +543,7 @@ class Simulation:
         veh.mstate = None  # a restart abandons any in-flight share offer
         hello_end = self._charge(veh, end, self.charges.hello_create)
         hello = auth.make_hello(self.params, veh.session, veh.prev_gk, self.rng, int(hello_end))
-        self._send(
-            hello, veh.node_id, [rsu.node_id], hello_end, self.charges.hello_create, to_rsu=True
-        )
+        self._send(hello, veh, (rsu.node_id,), hello_end, self.charges.hello_create)
         return end
 
     def _vehicle_handle_challenge(self, now, veh, msg, sender_id):
@@ -574,15 +558,11 @@ class Simulation:
         else:
             end = self._charge(veh, now, self.charges.confirm_create)
             confirm = auth.vehicle_confirm(self.params, veh.session, veh.creds, msg, self.rng)
-            self._send(
-                confirm, veh.node_id, [rsu.node_id], end, self.charges.confirm_create, to_rsu=True
-            )
+            self._send(confirm, veh, (rsu.node_id,), end, self.charges.confirm_create)
         # pipeline the share offer right behind the ack or the confirmation
         offer_end = self._charge(veh, end, self.charges.offer_create)
         veh.mstate, offer = groupkey.member_offer(self.params, veh.session, self.rng)
-        self._send(
-            offer, veh.node_id, [rsu.node_id], offer_end, self.charges.offer_create, to_rsu=True
-        )
+        self._send(offer, veh, (rsu.node_id,), offer_end, self.charges.offer_create)
         return end
 
     def _vehicle_handle_share_update(self, now, veh, msg, sender_id):
@@ -595,11 +575,7 @@ class Simulation:
             # one self-rescheduling broadcast chain per vehicle, ever
             veh.broadcast_armed = True
             self._push(
-                SimEvent(
-                    end + self._jittered_interval(),
-                    EventKind.VEHICLE_BROADCAST,
-                    (veh.index,),
-                )
+                end + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh.index
             )
         return end
 
@@ -652,12 +628,8 @@ class Simulation:
                     and abs(other.pos(now) - pos) <= self.cfg.vehicle_range_m
                 ):
                     receivers.append(other.node_id)
-            self._send(msg, veh.node_id, receivers, end, self.charges.seal, to_rsu=True)
-        self._push(
-            SimEvent(
-                now + self._jittered_interval(), EventKind.VEHICLE_BROADCAST, (veh_index,)
-            )
-        )
+            self._send(msg, veh, receivers, end, self.charges.seal)
+        self._push(now + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh_index)
 
     # -- rsu side --------------------------------------------------------------------
 
@@ -685,7 +657,7 @@ class Simulation:
             verify_cost, reply_cost = self.charges.hello_full, self.charges.challenge_create
             reply = challenge
         end = self._charge(rsu, now, verify_cost + reply_cost)
-        self._send(reply, rsu.node_id, [sender_id], end, reply_cost)
+        self._send(reply, rsu, (sender_id,), end, reply_cost)
         return end
 
     def _rsu_handle_confirm(self, now, rsu, msg, sender_id):
@@ -721,11 +693,11 @@ class Simulation:
         # the joiner gets its per-member material; everyone else learns the
         # new key from the notice under the previous one
         joiner_update = result.share_updates[session.fid]
-        self._send(joiner_update, rsu.node_id, [sender_id], end, self.charges.seal)
+        self._send(joiner_update, rsu, (sender_id,), end, self.charges.seal)
         if result.notice is not None:
             members = [m for m in self._group_members(rsu) if m != sender_id]
             if members:
-                self._send(result.notice, rsu.node_id, members, end, self.charges.seal)
+                self._send(result.notice, rsu, members, end, self.charges.seal)
         self._transfer_group_key(rsu, end)
         return end
 

@@ -7,7 +7,6 @@ from vanetgka import groupcomm
 from vanetgka import sim as sim_module
 from vanetgka.costs import average_delay
 from vanetgka.sim import (
-    EventKind,
     MetricsReport,
     ScenarioConfig,
     Simulation,
@@ -49,6 +48,15 @@ def test_config_validation():
         ScenarioConfig(illegal_fraction=1.5).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(bandwidth_mbps=-6).validate()
+
+
+def test_jitter_that_could_send_time_backwards_is_rejected():
+    # a broadcast interval drawn from 40 +- 50 ms can be negative
+    with pytest.raises(ValueError, match="interval_variance_s"):
+        ScenarioConfig(broadcast_interval_ms=40.0, interval_variance_s=0.05).validate()
+    with pytest.raises(ValueError, match="interval_variance_s"):
+        ScenarioConfig(broadcast_interval_ms=50.0, interval_variance_s=0.05).validate()
+    ScenarioConfig(broadcast_interval_ms=51.0, interval_variance_s=0.05).validate()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -135,21 +143,46 @@ def test_overhead_is_58_per_vehicle_message():
 
 
 def test_conservation_deliveries_do_not_exceed_fanout():
-    # every delivery scheduled by a send arrives by end_ms, so deliveries
-    # equal the scheduled fan-out exactly
+    # every delivery entry scheduled by a send arrives by end_ms, so
+    # deliveries equal the receivers of the scheduled entries exactly
     sim = Simulation(FAST)
     scheduled = []
     push = sim._push
 
-    def counting_push(ev):
-        if ev.kind is EventKind.MESSAGE_DELIVERY:
-            scheduled.append(ev)
-        push(ev)
+    def counting_push(time_ms, handler, *args):
+        if handler is Simulation._on_delivery:
+            scheduled.append(args[3])
+        push(time_ms, handler, *args)
 
     sim._push = counting_push
     sim.run()
     assert sim.messages_sent > 0
-    assert sim.messages_delivered == len(scheduled)
+    assert sim.messages_delivered == sum(len(receivers) for receivers in scheduled)
+
+
+def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
+    sim = Simulation(dataclasses.replace(FAST, n_vehicles=10), keep_samples=True)
+    sim.run()
+    veh = _joined_vehicle(sim)
+    others = [v for v in sim.vehicles if v is not veh and v.on_road and v.joined]
+    assert len(others) >= 3 and others[0].mstate.gk != veh.mstate.gk
+    receivers = tuple(v.node_id for v in others)
+    for v in others[1:]:
+        v.mstate.gk = veh.mstate.gk  # the first receiver keeps another key
+    msg = groupcomm.broadcast(sim.params, veh.mstate.gk, veh.mstate.fid, b"payload", sim.rng)
+    sim._heap.clear()
+    sent, delivered = sim.messages_sent, sim.messages_delivered
+    drops, samples = sim.drops.total(), len(sim.samples)
+    sim._send(msg, veh, receivers, sim.end_ms - 10.0, 0.5)
+    assert sim.messages_sent == sent + 1
+    assert len(sim._heap) == 1
+    _, _, handler, args = sim._heap[0]
+    assert handler is Simulation._on_delivery and args[3] == receivers
+    sim.run()
+    assert sim.messages_delivered == delivered + len(receivers)
+    # in send order: one drop, then one sample per receiver that holds the key
+    assert sim.drops.total() == drops + 1
+    assert [s.receiver for s in sim.samples[samples:]] == list(receivers[1:])
 
 
 def test_streamed_average_matches_reference_metric():
@@ -164,7 +197,7 @@ def _joined_vehicle(sim):
 
 
 def _deliver(sim, msg, sender_id, receiver_id):
-    sim._on_delivery(sim.end_ms, msg, sim.messages_sent + 1, sender_id, receiver_id, 0.5, 0.1)
+    sim._on_delivery(sim.end_ms, msg, sim.messages_sent + 1, sender_id, (receiver_id,), 0.5, 0.1)
 
 
 def test_a_forged_broadcast_is_one_typed_drop_and_no_sample():
@@ -240,6 +273,15 @@ def test_trace_goes_to_stderr_only(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "[sim]" in err and "message_delivery RsuBeacon #1 rsu-" in err
+
+
+def test_trace_times_never_decrease(monkeypatch, capsys):
+    monkeypatch.setenv("SIM_LOG", "trace")
+    run_scenario(FAST)
+    _, err = capsys.readouterr()
+    times = [float(line.removeprefix("[sim] t=").split()[0]) for line in err.splitlines()]
+    assert len(times) > 1000
+    assert times == sorted(times)
 
 
 def test_rekeys_track_membership_events():
