@@ -18,7 +18,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
@@ -230,10 +230,7 @@ def _cmd_simulate(args) -> int:
     else:
         cfg = ScenarioConfig()
     if args.seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    cfg.validate()
+        cfg = replace(cfg, rng_seed=args.seed)
     if args.densities:
         n_list = [int(x) for x in args.densities.split(",")]
         reports = sweep_density(cfg, n_list)

@@ -35,7 +35,6 @@ GElem = int
 G1Elem = int
 Scalar = int
 
-SYM_KEY_LEN = 32
 SYM_NONCE_LEN = 16
 MAC_LEN = 16
 PSEUDONYM_LEN = 42
@@ -268,15 +267,19 @@ def rand_zq_star(rng: random.Random, q: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _expand(domain: bytes, data: bytes, n: int) -> bytes:
-    """n pseudorandom bytes: counter-mode SHA-256 with domain separation."""
+def _ctr_sha256(head: bytes, n: int, tail: bytes = b"") -> bytes:
+    """n bytes of counter-mode SHA-256: blocks ``head || ctr (8 bytes) || tail``."""
     out = bytearray()
     ctr = 0
-    prefix = len(domain).to_bytes(1, "big") + domain
     while len(out) < n:
-        out += hashlib.sha256(prefix + ctr.to_bytes(8, "big") + data).digest()
+        out += hashlib.sha256(head + ctr.to_bytes(8, "big") + tail).digest()
         ctr += 1
     return bytes(out[:n])
+
+
+def _expand(domain: bytes, data: bytes, n: int) -> bytes:
+    """n pseudorandom bytes with domain separation."""
+    return _ctr_sha256(len(domain).to_bytes(1, "big") + domain, n, data)
 
 
 def _expand_to_int(domain: bytes, data: bytes, q: int) -> int:
@@ -308,26 +311,17 @@ def _xor(a: bytes, b: bytes) -> bytes:
     )
 
 
-def _keystream(key: bytes, nonce: bytes, n: int) -> bytes:
-    out = bytearray()
-    ctr = 0
-    while len(out) < n:
-        out += hashlib.sha256(key + nonce + ctr.to_bytes(8, "big")).digest()
-        ctr += 1
-    return bytes(out[:n])
-
-
 def sym_encrypt(key: bytes, plaintext: bytes, rng: random.Random | None = None) -> bytes:
     """nonce || plaintext XOR keystream.  Unauthenticated: pair with hmac_tag."""
     nonce = rng.randbytes(SYM_NONCE_LEN) if rng is not None else os.urandom(SYM_NONCE_LEN)
-    return nonce + _xor(plaintext, _keystream(key, nonce, len(plaintext)))
+    return nonce + _xor(plaintext, _ctr_sha256(key + nonce, len(plaintext)))
 
 
 def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < SYM_NONCE_LEN:
         raise DecryptFail("ciphertext shorter than nonce")
     nonce, body = ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:]
-    return _xor(body, _keystream(key, nonce, len(body)))
+    return _xor(body, _ctr_sha256(key + nonce, len(body)))
 
 
 def hmac_tag(key: bytes, data: bytes) -> bytes:

@@ -62,16 +62,15 @@ class GkaSession:
         self,
         params: SystemParams,
         creds: NodeCredentials,
-        roster: Sequence[GkaPeer | tuple[bytes, GElem]],
+        roster: Sequence[GkaPeer],
     ):
-        peers = [p if isinstance(p, GkaPeer) else GkaPeer(*p) for p in roster]
-        if len({p.tid for p in peers}) != len(peers):
+        if len({p.tid for p in roster}) != len(roster):
             raise DuplicateIdentity("duplicate tid in roster")
-        if len(peers) < 2:
+        if len(roster) < 2:
             raise ValueError("group key agreement needs at least 2 members")
         self.params = params
         self.creds = creds
-        self.roster: list[GkaPeer] = sorted(peers, key=lambda p: p.tid)
+        self.roster: list[GkaPeer] = sorted(roster, key=lambda p: p.tid)
         self._index_of = {p.tid: i for i, p in enumerate(self.roster)}
         if creds.tid not in self._index_of:
             raise UnknownIdentity(f"own tid {creds.tid!r} not in roster")

@@ -14,12 +14,16 @@ bandwidth plus a fixed propagation term.
 Scheduling is a single binary heap of ``(time_ms, seq, handler, args)``
 entries, ordered by time and then by push order; ``run()`` pops one and
 calls ``handler(self, time_ms, *args)``.  A send is one delivery entry
-carrying the tuple of its receivers, all of which it reaches at the same
-time; ``Simulation._on_delivery`` takes them in order.  For each, a
-handler per receiver kind and message type returns when its verification
-ended (None if its guard ignores the message); a ``ProtocolError`` it
-lets out counts in ``Simulation.drops`` by (message type, error class),
-an end time becomes one delay sample.
+carrying the sender node and the tuple of its receiver nodes, all of
+which it reaches at the same time; ``Simulation._on_delivery`` takes them
+in order.  For each, a handler per receiver kind and message type returns
+when its verification ended (None if its guard ignores the message); a
+``ProtocolError`` it lets out counts in ``Simulation.drops`` by (message
+type, error class), an end time becomes one delay sample.  Byte node ids
+are data only: session keys, sample and trace labels.
+
+A vehicle keeps each fact once: it is on the road while it has a nearest
+RSU (``target``), and joined while its member state holds a group key.
 
 Every entry a handler pushes lies strictly after the time it runs at, so
 simulated time never goes backwards.  All randomness flows from one
@@ -31,13 +35,14 @@ Set SIM_LOG=trace to dump the event stream to stderr.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import os
 import random
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
@@ -192,12 +197,10 @@ class _VehicleNode:
     legit: bool
     pos0: float
     speed: float
-    on_road: bool = True
-    target: int | None = None  # index of the nearest RSU
+    target: int | None = None  # index of the nearest RSU; None once off the road
     session: auth.AuthSession | None = None
     auth_started_ms: float = -1.0
     mstate: MemberState | None = None
-    joined: bool = False
     prev_gk: GElem | None = None
     busy_until: float = 0.0
     broadcast_armed: bool = False
@@ -206,8 +209,20 @@ class _VehicleNode:
     def node_id(self) -> bytes:
         return self.creds.tid
 
+    @property
+    def on_road(self) -> bool:
+        return self.target is not None
+
+    @property
+    def joined(self) -> bool:
+        """Holds its RSU's group key: ``mstate`` is set, and its ``gk`` too."""
+        return self.mstate is not None and self.mstate.gk is not None
+
     def pos(self, now_ms: float) -> float:
         return self.pos0 + self.speed * now_ms / 1000.0
+
+
+_Node = _RsuNode | _VehicleNode
 
 
 class Simulation:
@@ -259,10 +274,6 @@ class Simulation:
                     speed=cfg.vehicle_speed_mps,
                 )
             )
-        self._nodes: dict[bytes, _RsuNode | _VehicleNode] = {
-            node.node_id: node for node in (*self.rsus, *self.vehicles)
-        }
-        assert len(self._nodes) == len(self.rsus) + len(self.vehicles), "duplicate node id"
 
         # metrics
         self.auth_count = 0
@@ -321,14 +332,11 @@ class Simulation:
     def _crossings(self, veh: _VehicleNode) -> list[tuple[float, int | None]]:
         """Times at which the vehicle's nearest RSU changes or it exits."""
         out: list[tuple[float, int | None]] = []
-        if veh.speed > 0:
-            for k in range(len(self.rsus) - 1):
-                midpoint = (self.rsus[k].pos + self.rsus[k + 1].pos) / 2
-                if veh.pos0 < midpoint:
-                    out.append(((midpoint - veh.pos0) / veh.speed * 1000.0, k + 1))
-            out.append(
-                ((self.cfg.road_length_m - veh.pos0) / veh.speed * 1000.0, None)
-            )
+        for k in range(len(self.rsus) - 1):
+            midpoint = (self.rsus[k].pos + self.rsus[k + 1].pos) / 2
+            if veh.pos0 < midpoint:
+                out.append(((midpoint - veh.pos0) / veh.speed * 1000.0, k + 1))
+        out.append(((self.cfg.road_length_m - veh.pos0) / veh.speed * 1000.0, None))
         return out
 
     # -- busy cursors and transmission ------------------------------------------
@@ -344,8 +352,8 @@ class Simulation:
     def _send(
         self,
         msg,
-        sender: _RsuNode | _VehicleNode,
-        receivers: list[bytes] | tuple[bytes, ...],
+        sender: _Node,
+        receivers: list[_Node] | tuple[_Node, ...],
         depart_ms: float,
         create_cost: float,
     ) -> None:
@@ -366,23 +374,8 @@ class Simulation:
         arrive = depart_ms + tx
         if arrive > self.end_ms:
             return
-        args = (decoded, msg_id, sender.node_id, tuple(receivers), create_cost, tx)
+        args = (decoded, msg_id, sender, tuple(receivers), create_cost, tx)
         self._push(arrive, Simulation._on_delivery, *args)
-
-    def _sample(
-        self,
-        creator: bytes,
-        msg_id: int,
-        receiver: bytes,
-        t_create: float,
-        t_transmit: float,
-        t_verify: float,
-    ) -> None:
-        self.delay.add(creator, t_create, t_transmit, t_verify)
-        if self.keep_samples:
-            self.samples.append(
-                DelaySample(creator, msg_id, receiver, t_create, t_transmit, t_verify)
-            )
 
     # -- main loop ----------------------------------------------------------------
 
@@ -400,11 +393,11 @@ class Simulation:
         """A delivery prints one line per receiver; any other event, its
         handler's name after ``_on_`` and its arguments."""
         if handler is Simulation._on_delivery:
-            msg, msg_id, sender_id, receivers = args[:4]
+            msg, msg_id, sender, receivers = args[:4]
             lines = [
                 f"message_delivery {type(msg).__name__} #{msg_id} "
-                f"{sender_id.decode()} -> {receiver_id.decode()}"
-                for receiver_id in receivers
+                f"{sender.node_id.decode()} -> {receiver.node_id.decode()}"
+                for receiver in receivers
             ]
         else:
             lines = [f"{handler.__name__.removeprefix('_on_')} {args}"]
@@ -427,48 +420,39 @@ class Simulation:
         return abs(rsu.pos - pos) <= self.cfg.rsu_range_m
 
     def _needs_auth(self, veh: _VehicleNode, rsu: _RsuNode, now: float) -> bool:
-        if not veh.on_road or veh.joined or veh.target != rsu.index:
+        if veh.joined or veh.target != rsu.index:
             return False
-        if veh.session is not None:
-            # restart a stalled attempt after a few beacon periods
-            if now - veh.auth_started_ms < 2.5 * self.cfg.broadcast_interval_ms:
-                return False
-        return True
+        # restart a stalled attempt after a few beacon periods
+        stalled = now - veh.auth_started_ms >= 2.5 * self.cfg.broadcast_interval_ms
+        return veh.session is None or stalled
 
     def _on_beacon(self, now: float, rsu_index: int) -> None:
         rsu = self.rsus[rsu_index]
         for veh in self.vehicles:
-            if self._needs_auth(veh, rsu, now) and self._in_rsu_range(
-                rsu, veh.pos(now)
-            ):
-                self._send(rsu.beacon, rsu, (veh.node_id,), now, 0.0)
+            if self._needs_auth(veh, rsu, now) and self._in_rsu_range(rsu, veh.pos(now)):
+                self._send(rsu.beacon, rsu, (veh,), now, 0.0)
         self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu_index)
 
     def _on_vehicle_enter_range(self, now: float, veh_index: int, new_target: int | None) -> None:
+        """The vehicle leaves its RSU for ``new_target``, or the road if None;
+        its exit is its last crossing, so it is on the road until then."""
         veh = self.vehicles[veh_index]
-        old_target = veh.target
-        if old_target is not None:
-            rsu = self.rsus[old_target]
-            if veh.joined:
-                veh.prev_gk = veh.mstate.gk if veh.mstate else None
-                self._rsu_evict(now, rsu, veh)
-            elif veh.legit and veh.session is not None:
-                self.incomplete_associations += 1
-            rsu.sessions.pop(veh.node_id, None)
+        rsu = self.rsus[veh.target]
+        if veh.joined:
+            veh.prev_gk = veh.mstate.gk
+            self._rsu_evict(now, rsu, veh)
+        elif veh.legit and veh.session is not None:
+            self.incomplete_associations += 1
+        rsu.sessions.pop(veh.node_id, None)
         veh.session = None
         veh.mstate = None
-        veh.joined = False
-        if new_target is None:
-            veh.on_road = False
-            veh.target = None
-        else:
-            veh.target = new_target
+        veh.target = new_target
 
     def _rsu_evict(self, now: float, rsu: _RsuNode, veh: _VehicleNode) -> None:
         """Departure notice reaches the RSU; rekey and notify the group."""
-        fid = veh.mstate.fid if veh.mstate else None
+        fid = veh.mstate.fid
         rsu.member_fid_by_sender.pop(veh.node_id, None)
-        if fid is None or fid not in rsu.group.members:
+        if fid not in rsu.group.members:
             return
         cost = self.charges.rekey_base + self.charges.rekey_per_member * len(
             rsu.group.members
@@ -481,22 +465,21 @@ class Simulation:
             self._send(update, rsu, members, end, self.charges.seal)
             self._transfer_group_key(rsu, end)
 
-    def _group_members(self, rsu: _RsuNode) -> list[bytes]:
-        out = []
-        for veh in self.vehicles:
-            if veh.joined and veh.target == rsu.index and veh.mstate is not None:
-                if veh.mstate.fid in rsu.group.members:
-                    out.append(veh.node_id)
-        return out
+    def _group_members(self, rsu: _RsuNode) -> list[_VehicleNode]:
+        return [
+            veh
+            for veh in self.vehicles
+            if veh.target == rsu.index and veh.joined and veh.mstate.fid in rsu.group.members
+        ]
 
     def _transfer_group_key(self, rsu: _RsuNode, depart: float) -> None:
         if not self.cfg.gk_transfer_enabled or rsu.session_key is None:
             return
         for other in self.rsus:
-            if other.index == rsu.index:
+            if other is rsu:
                 continue
             msg = groupkey.transfer_gk(self.params, rsu.group, rsu.session_key, self.rng)
-            self._send(msg, rsu, (other.node_id,), depart, self.charges.seal)
+            self._send(msg, rsu, (other,), depart, self.charges.seal)
 
     # -- deliveries -------------------------------------------------------------------
 
@@ -505,15 +488,14 @@ class Simulation:
         now: float,
         msg,
         msg_id: int,
-        sender_id: bytes,
-        receivers: tuple[bytes, ...],
+        sender: _Node,
+        receivers: tuple[_Node, ...],
         create_cost: float,
         tx: float,
     ) -> None:
         """The one delivery path (see the module docstring)."""
-        for receiver_id in receivers:
+        for node in receivers:
             self.messages_delivered += 1
-            node = self._nodes[receiver_id]
             if type(node) is _VehicleNode:
                 if not node.on_road:
                     continue
@@ -523,18 +505,23 @@ class Simulation:
             if handler is None:
                 continue
             try:
-                end = handler(self, now, node, msg, sender_id)
+                end = handler(self, now, node, msg, sender)
             except ProtocolError as exc:
                 self.drops[type(msg).__name__, type(exc).__name__] += 1
                 continue
-            if end is not None:
-                self._sample(sender_id, msg_id, receiver_id, create_cost, tx, end - now)
+            if end is None:
+                continue
+            self.delay.add(sender.node_id, create_cost, tx, end - now)
+            if self.keep_samples:
+                self.samples.append(
+                    DelaySample(sender.node_id, msg_id, node.node_id, create_cost, tx, end - now)
+                )
 
     # -- vehicle side -------------------------------------------------------------------
 
-    def _vehicle_handle_beacon(self, now, veh, msg, sender_id):
-        rsu = self.rsus[veh.target] if veh.target is not None else None
-        if rsu is None or rsu.node_id != sender_id or not self._needs_auth(veh, rsu, now):
+    def _vehicle_handle_beacon(self, now, veh, msg, sender):
+        rsu = self.rsus[veh.target]
+        if sender is not rsu or not self._needs_auth(veh, rsu, now):
             return None
         end = self._charge(veh, now, self.charges.beacon_verify + self.charges.epoch_refresh)
         epoch = refresh_vehicle_epoch(veh.creds, self.params, self.rng)
@@ -543,14 +530,12 @@ class Simulation:
         veh.mstate = None  # a restart abandons any in-flight share offer
         hello_end = self._charge(veh, end, self.charges.hello_create)
         hello = auth.make_hello(self.params, veh.session, veh.prev_gk, self.rng, int(hello_end))
-        self._send(hello, veh, (rsu.node_id,), hello_end, self.charges.hello_create)
+        self._send(hello, veh, (rsu,), hello_end, self.charges.hello_create)
         return end
 
-    def _vehicle_handle_challenge(self, now, veh, msg, sender_id):
-        if veh.session is None or veh.target is None or veh.joined:
-            return None
+    def _vehicle_handle_challenge(self, now, veh, msg, sender):
         rsu = self.rsus[veh.target]
-        if rsu.node_id != sender_id:
+        if veh.session is None or veh.joined or sender is not rsu:
             return None
         if auth.is_fastpath_ack(msg):
             end = self._charge(veh, now, self.charges.ack)
@@ -558,19 +543,18 @@ class Simulation:
         else:
             end = self._charge(veh, now, self.charges.confirm_create)
             confirm = auth.vehicle_confirm(self.params, veh.session, veh.creds, msg, self.rng)
-            self._send(confirm, veh, (rsu.node_id,), end, self.charges.confirm_create)
+            self._send(confirm, veh, (rsu,), end, self.charges.confirm_create)
         # pipeline the share offer right behind the ack or the confirmation
         offer_end = self._charge(veh, end, self.charges.offer_create)
         veh.mstate, offer = groupkey.member_offer(self.params, veh.session, self.rng)
-        self._send(offer, veh, (rsu.node_id,), offer_end, self.charges.offer_create)
+        self._send(offer, veh, (rsu,), offer_end, self.charges.offer_create)
         return end
 
-    def _vehicle_handle_share_update(self, now, veh, msg, sender_id):
-        if veh.mstate is None or veh.joined or veh.target is None:
+    def _vehicle_handle_share_update(self, now, veh, msg, sender):
+        if veh.mstate is None or veh.joined:
             return None
         end = self._charge(veh, now, self.charges.derive)
         groupkey.member_derive(self.params, veh.mstate, msg)
-        veh.joined = True
         if not veh.broadcast_armed:
             # one self-rescheduling broadcast chain per vehicle, ever
             veh.broadcast_armed = True
@@ -579,22 +563,22 @@ class Simulation:
             )
         return end
 
-    def _vehicle_handle_notice(self, now, veh, msg, sender_id):
-        if veh.mstate is None or not veh.joined:
+    def _vehicle_handle_notice(self, now, veh, msg, sender):
+        if not veh.joined:
             return None
         end = self._charge(veh, now, self.charges.seal)
         groupkey.member_apply_notice(self.params, veh.mstate, msg)
         return end
 
-    def _vehicle_handle_leave_update(self, now, veh, msg, sender_id):
-        if veh.mstate is None or not veh.joined or veh.mstate.gk is None:
+    def _vehicle_handle_leave_update(self, now, veh, msg, sender):
+        if not veh.joined:
             return None
         end = self._charge(veh, now, self.charges.derive)
         groupkey.member_derive_from_leave(self.params, veh.mstate, msg, veh.mstate.gk)
         return end
 
-    def _vehicle_handle_broadcast(self, now, veh, msg, sender_id):
-        if veh.mstate is None or not veh.joined or veh.mstate.gk is None:
+    def _vehicle_handle_broadcast(self, now, veh, msg, sender):
+        if not veh.joined:
             return None
         end = self._charge(veh, now, self.charges.seal)
         groupcomm.open_broadcast(self.params, veh.mstate.gk, msg)
@@ -608,7 +592,7 @@ class Simulation:
         veh = self.vehicles[veh_index]
         if not veh.on_road:
             return
-        if veh.joined and veh.mstate is not None and veh.target is not None:
+        if veh.joined:
             rsu = self.rsus[veh.target]
             end = self._charge(veh, now, self.charges.seal)
             payload = self.rng.randbytes(self.cfg.message_size_bytes)
@@ -616,24 +600,21 @@ class Simulation:
                 self.params, veh.mstate.gk, veh.mstate.fid, payload, self.rng
             )
             pos = veh.pos(now)
-            receivers = []
-            if self._in_rsu_range(rsu, pos):
-                receivers.append(rsu.node_id)
+            receivers = [rsu] if self._in_rsu_range(rsu, pos) else []
             for other in self.vehicles:
                 if (
-                    other.index != veh.index
-                    and other.on_road
+                    other.target == veh.target
+                    and other is not veh
                     and other.joined
-                    and other.target == veh.target
                     and abs(other.pos(now) - pos) <= self.cfg.vehicle_range_m
                 ):
-                    receivers.append(other.node_id)
+                    receivers.append(other)
             self._send(msg, veh, receivers, end, self.charges.seal)
         self._push(now + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh_index)
 
     # -- rsu side --------------------------------------------------------------------
 
-    def _rsu_handle_hello(self, now, rsu, msg, sender_id):
+    def _rsu_handle_hello(self, now, rsu, msg, sender):
         candidates = rsu.neighbor_store.candidates() if self.cfg.gk_transfer_enabled else []
         try:
             # freshness is checked first, against the busy cursor
@@ -649,7 +630,7 @@ class Simulation:
         except ProtocolError:
             self._charge(rsu, now, self.charges.hello_stale)
             raise
-        rsu.sessions[sender_id] = session
+        rsu.sessions[sender.node_id] = session
         if challenge is None:
             verify_cost, reply_cost = self.charges.hello_fast, self.charges.ack
             reply = auth.make_fastpath_ack(self.params, session)
@@ -657,19 +638,19 @@ class Simulation:
             verify_cost, reply_cost = self.charges.hello_full, self.charges.challenge_create
             reply = challenge
         end = self._charge(rsu, now, verify_cost + reply_cost)
-        self._send(reply, rsu, (sender_id,), end, reply_cost)
+        self._send(reply, rsu, (sender,), end, reply_cost)
         return end
 
-    def _rsu_handle_confirm(self, now, rsu, msg, sender_id):
-        session = rsu.sessions.get(sender_id)
+    def _rsu_handle_confirm(self, now, rsu, msg, sender):
+        session = rsu.sessions.get(sender.node_id)
         if session is None:
             return None
         end = self._charge(rsu, now, self.charges.confirm_verify)
         auth.rsu_verify(self.params, rsu.creds, session, msg)
         return end
 
-    def _rsu_handle_offer(self, now, rsu, msg, sender_id):
-        session = rsu.sessions.get(sender_id)
+    def _rsu_handle_offer(self, now, rsu, msg, sender):
+        session = rsu.sessions.get(sender.node_id)
         if session is None or not auth.is_authenticated(session):
             return None
         cost = (
@@ -679,12 +660,12 @@ class Simulation:
         )
         # a re-authentication from the same transport address supersedes
         # any membership left over from an abandoned earlier attempt
-        old_fid = rsu.member_fid_by_sender.get(sender_id)
+        old_fid = rsu.member_fid_by_sender.get(sender.node_id)
         if old_fid is not None and old_fid != session.fid:
             rsu.group.members.pop(old_fid, None)
         end = self._charge(rsu, now, cost)
         result = groupkey.handle_join(self.params, rsu.group, session, msg, self.rng)
-        rsu.member_fid_by_sender[sender_id] = session.fid
+        rsu.member_fid_by_sender[sender.node_id] = session.fid
         self.rekey_count += 1
         if session.state is auth.AuthState.FASTPATH_DONE:
             self.fastpath_count += 1
@@ -693,24 +674,24 @@ class Simulation:
         # the joiner gets its per-member material; everyone else learns the
         # new key from the notice under the previous one
         joiner_update = result.share_updates[session.fid]
-        self._send(joiner_update, rsu, (sender_id,), end, self.charges.seal)
+        self._send(joiner_update, rsu, (sender,), end, self.charges.seal)
         if result.notice is not None:
-            members = [m for m in self._group_members(rsu) if m != sender_id]
+            members = [m for m in self._group_members(rsu) if m is not sender]
             if members:
                 self._send(result.notice, rsu, members, end, self.charges.seal)
         self._transfer_group_key(rsu, end)
         return end
 
-    def _rsu_handle_transfer(self, now, rsu, msg, sender_id):
+    def _rsu_handle_transfer(self, now, rsu, msg, sender):
         if rsu.session_key is None:
             return None
         end = self._charge(rsu, now, self.charges.seal)
         groupkey.receive_gk_transfer(
-            self.params, rsu.neighbor_store, sender_id, msg, rsu.session_key
+            self.params, rsu.neighbor_store, sender.node_id, msg, rsu.session_key
         )
         return end
 
-    def _rsu_handle_broadcast(self, now, rsu, msg, sender_id):
+    def _rsu_handle_broadcast(self, now, rsu, msg, sender):
         if rsu.group.gk is None:
             return None
         end = self._charge(rsu, now, self.charges.seal)
@@ -749,28 +730,14 @@ def sweep_density(cfg: ScenarioConfig, n_list: list[int]) -> list[MetricsReport]
 
 
 def write_sweep_csv(reports: list[MetricsReport], path: Path | str) -> None:
-    import csv
-
+    """One row per report, the ``MetricsReport`` fields in order; a delay
+    to 6 places, or empty when there is none."""
+    names = [f.name for f in fields(MetricsReport)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n_vehicles",
-                "average_delay_ms",
-                "total_overhead_bytes",
-                "auth_count",
-                "fastpath_count",
-                "rekey_count",
-            ]
-        )
+        writer.writerow(names)
         for r in reports:
+            row = [getattr(r, name) for name in names]
             writer.writerow(
-                [
-                    r.n_vehicles,
-                    "" if r.average_delay_ms is None else f"{r.average_delay_ms:.6f}",
-                    r.total_overhead_bytes,
-                    r.auth_count,
-                    r.fastpath_count,
-                    r.rekey_count,
-                ]
+                "" if v is None else f"{v:.6f}" if isinstance(v, float) else v for v in row
             )

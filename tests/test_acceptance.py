@@ -36,6 +36,7 @@ from vanetgka.registry import (
     trace,
 )
 from vanetgka.sim import ScenarioConfig, Simulation, sweep_density
+from scripted import ScriptedRng
 from wiregen import random_message
 
 
@@ -47,20 +48,6 @@ def criterion(num: int, desc: str):
         print(f"\n[criterion {num:2d}] FAIL  {desc}")
         raise
     print(f"\n[criterion {num:2d}] PASS  {desc}")
-
-
-class ScriptedRng:
-    def __init__(self, script, seed=0):
-        self.script = list(script)
-        self.rng = random.Random(seed)
-
-    def randrange(self, *args):
-        if self.script:
-            return self.script.pop(0)
-        return self.rng.randrange(*args)
-
-    def randbytes(self, n):
-        return self.rng.randbytes(n)
 
 
 def test_criterion_01_gka_agreement_randomized():

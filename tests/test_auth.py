@@ -34,20 +34,7 @@ from vanetgka.registry import (
     register_vehicle,
     ta_init,
 )
-
-
-class ScriptedRng:
-    def __init__(self, script, seed=0):
-        self.script = list(script)
-        self.rng = random.Random(seed)
-
-    def randrange(self, *args):
-        if self.script:
-            return self.script.pop(0)
-        return self.rng.randrange(*args)
-
-    def randbytes(self, n):
-        return self.rng.randbytes(n)
+from scripted import ScriptedRng
 
 
 def setup(profile="small64", seed=0):

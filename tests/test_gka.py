@@ -17,23 +17,7 @@ from vanetgka.errors import (
 )
 from vanetgka.gka import GkaPeer, GkaSession, run_agreement
 from vanetgka.registry import register_rsu, ta_init
-
-
-class ScriptedRng:
-    """Returns scripted values for the first randrange calls, then falls
-    back to a seeded rng (used for signature nonces)."""
-
-    def __init__(self, script, seed=0):
-        self.script = list(script)
-        self.rng = random.Random(seed)
-
-    def randrange(self, *args):
-        if self.script:
-            return self.script.pop(0)
-        return self.rng.randrange(*args)
-
-    def randbytes(self, n):
-        return self.rng.randbytes(n)
+from scripted import ScriptedRng
 
 
 def make_rsus(profile, n, seed=0):

@@ -28,21 +28,8 @@ from vanetgka.groupkey import (
     member_derive,
     rsu_rekey,
 )
+from scripted import ScriptedRng
 from wiregen import random_message
-
-
-class ScriptedRng:
-    def __init__(self, script, seed=0):
-        self.script = list(script)
-        self.rng = random.Random(seed)
-
-    def randrange(self, *args):
-        if self.script:
-            return self.script.pop(0)
-        return self.rng.randrange(*args)
-
-    def randbytes(self, n):
-        return self.rng.randbytes(n)
 
 
 def fid_of(i):

@@ -29,20 +29,7 @@ from vanetgka.groupkey import (
     rsu_rekey,
     transfer_gk,
 )
-
-
-class ScriptedRng:
-    def __init__(self, script, seed=0):
-        self.script = list(script)
-        self.rng = random.Random(seed)
-
-    def randrange(self, *args):
-        if self.script:
-            return self.script.pop(0)
-        return self.rng.randrange(*args)
-
-    def randbytes(self, n):
-        return self.rng.randbytes(n)
+from scripted import ScriptedRng
 
 
 def fid_of(i: int) -> bytes:

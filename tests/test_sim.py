@@ -4,12 +4,12 @@ from collections import Counter
 import pytest
 
 from vanetgka import groupcomm
-from vanetgka import sim as sim_module
-from vanetgka.costs import average_delay
+from vanetgka.costs import PrimitiveTimings, average_delay, fastpath_cost, verification_delay
 from vanetgka.sim import (
     MetricsReport,
     ScenarioConfig,
     Simulation,
+    _Charges,
     run_scenario,
     sweep_density,
     write_sweep_csv,
@@ -166,7 +166,7 @@ def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
     veh = _joined_vehicle(sim)
     others = [v for v in sim.vehicles if v is not veh and v.on_road and v.joined]
     assert len(others) >= 3 and others[0].mstate.gk != veh.mstate.gk
-    receivers = tuple(v.node_id for v in others)
+    receivers = tuple(others)
     for v in others[1:]:
         v.mstate.gk = veh.mstate.gk  # the first receiver keeps another key
     msg = groupcomm.broadcast(sim.params, veh.mstate.gk, veh.mstate.fid, b"payload", sim.rng)
@@ -182,7 +182,7 @@ def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
     assert sim.messages_delivered == delivered + len(receivers)
     # in send order: one drop, then one sample per receiver that holds the key
     assert sim.drops.total() == drops + 1
-    assert [s.receiver for s in sim.samples[samples:]] == list(receivers[1:])
+    assert [s.receiver for s in sim.samples[samples:]] == [v.node_id for v in receivers[1:]]
 
 
 def test_streamed_average_matches_reference_metric():
@@ -196,8 +196,8 @@ def _joined_vehicle(sim):
     return next(v for v in sim.vehicles if v.on_road and v.joined and v.mstate.gk is not None)
 
 
-def _deliver(sim, msg, sender_id, receiver_id):
-    sim._on_delivery(sim.end_ms, msg, sim.messages_sent + 1, sender_id, (receiver_id,), 0.5, 0.1)
+def _deliver(sim, msg, sender, receiver):
+    sim._on_delivery(sim.end_ms, msg, sim.messages_sent + 1, sender, (receiver,), 0.5, 0.1)
 
 
 def test_a_forged_broadcast_is_one_typed_drop_and_no_sample():
@@ -207,11 +207,11 @@ def test_a_forged_broadcast_is_one_typed_drop_and_no_sample():
     msg = groupcomm.broadcast(sim.params, veh.mstate.gk, veh.mstate.fid, b"payload", sim.rng)
     forged = dataclasses.replace(msg, mac=bytes(b ^ 1 for b in msg.mac))
     drops, samples = Counter(sim.drops), len(sim.samples)
-    sender = sim.rsus[0].node_id
-    _deliver(sim, msg, sender, veh.node_id)  # the genuine one is sampled
+    sender = sim.rsus[0]
+    _deliver(sim, msg, sender, veh)  # the genuine one is sampled
     assert sim.drops == drops
     assert len(sim.samples) == samples + 1 and sim.samples[-1].receiver == veh.node_id
-    _deliver(sim, forged, sender, veh.node_id)
+    _deliver(sim, forged, sender, veh)
     drops["GroupBroadcast", "MacFail"] += 1
     assert sim.drops == drops
     assert len(sim.samples) == samples + 1
@@ -224,7 +224,7 @@ def test_a_message_the_guard_ignores_is_neither_drop_nor_sample():
     drops, samples, delivered = dict(sim.drops), len(sim.samples), sim.messages_delivered
     # a joined vehicle does not answer beacons
     rsu = sim.rsus[veh.target]
-    _deliver(sim, rsu.beacon, rsu.node_id, veh.node_id)
+    _deliver(sim, rsu.beacon, rsu, veh)
     assert (dict(sim.drops), len(sim.samples)) == (drops, samples)
     assert sim.messages_delivered == delivered + 1
 
@@ -248,23 +248,16 @@ def test_samples_name_the_receiver_and_the_sent_message():
     assert len(pairs) == len(set(pairs))
 
 
-def test_node_map_holds_every_node_under_its_own_id():
-    sim = Simulation(dataclasses.replace(FAST, n_vehicles=7, n_rsus=3))
-    assert len(sim._nodes) == sim.cfg.n_rsus + sim.cfg.n_vehicles
-    for node in (*sim.rsus, *sim.vehicles):
-        assert sim._nodes[node.node_id] is node
-
-
-def test_node_map_rejects_a_duplicate_id(monkeypatch):
-    # the registry refuses a reused tid, so forge one past it
-    register = sim_module.register_vehicle
-    monkeypatch.setattr(
-        sim_module,
-        "register_vehicle",
-        lambda ta, tid: dataclasses.replace(register(ta, tid), tid=b"rsu-000"),
-    )
-    with pytest.raises(AssertionError, match="duplicate node id"):
-        Simulation(dataclasses.replace(FAST, n_vehicles=1))
+def test_charges_compose_to_the_cost_model():
+    # binary-fraction timings add exactly, so both sides agree to the bit;
+    # HMAC and symmetric decryption are charges the model leaves out
+    t = PrimitiveTimings(t_par=4.5, t_mul=0.625, t_mp=0.75, t_hmac=0.0)
+    charges = _Charges(ScenarioConfig(timings=t, sym_decrypt_ms=0.0))
+    assert charges.hello_full + charges.confirm_verify == verification_delay("ours", "rsu", 1, t)
+    assert charges.confirm_create == verification_delay("ours", "obu", 1, t)
+    t_fast = dataclasses.replace(t, t_hmac=0.125)
+    fast = _Charges(ScenarioConfig(timings=t_fast, sym_decrypt_ms=0.25)).hello_fast
+    assert fast == fastpath_cost(t_fast, 0.25)
 
 
 def test_trace_goes_to_stderr_only(monkeypatch, capsys):
