@@ -75,7 +75,6 @@ class AuthSession:
     fid: bytes
     pk_v: GElem
     n1: Scalar = 0
-    ts_ms: int = 0
     # vehicle side
     pk_rsu: GElem | None = None
     q_rsu: G1Elem | None = None
@@ -169,7 +168,6 @@ def make_hello(
     if session.state is not AuthState.BEACON_VERIFIED:
         raise StateError(f"hello invalid in state {session.state.value}")
     session.n1 = rand_zq_star(rng, params.q)
-    session.ts_ms = now_ms
     if neighbor_gk is not None:
         gk_fid_ct = sym_encrypt(gk_fid_key(neighbor_gk), session.fid, rng)
     else:
@@ -208,9 +206,7 @@ def process_hello(
     channel = Channel.derive(n1, b"n1")
     channel.check(params.element_width, hello)
 
-    session = AuthSession(
-        state=AuthState.HELLO_SENT, fid=fid, pk_v=hello.pk_v, n1=n1, ts_ms=hello.ts_ms
-    )
+    session = AuthSession(state=AuthState.HELLO_SENT, fid=fid, pk_v=hello.pk_v, n1=n1)
 
     if len(hello.gk_fid_ct) == GK_FID_CT_LEN:
         for gk in neighbor_gks:

@@ -256,6 +256,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_codec_dump(args) -> int:
     data = Path(args.file).read_bytes()
     width = PROFILES[args.profile].element_width if args.width is None else args.width
+    if width < 1:
+        # zero-width elements take no bytes, so no input length bounds a list count
+        raise ValueError(f"--width must be at least 1, got {width}")
     msg = wire.decode_message(data, width)
     print(wire.describe(msg))
     return 0

@@ -86,11 +86,8 @@ DELAY_SCHEMES = tuple(VERIFICATION_FORMS)
 OVERHEAD_SCHEMES = tuple(OVERHEAD_BYTES_PER_MESSAGE)
 
 
-def verification_delay(
-    scheme: str, side: str, n: int, timings: PrimitiveTimings | None = None
-) -> float:
+def verification_delay(scheme: str, side: str, n: int, timings: PrimitiveTimings) -> float:
     """Milliseconds to complete n verifications on the given side."""
-    timings = timings or PrimitiveTimings()
     if n < 0:
         raise ValueError("n must be nonnegative")
     try:
@@ -111,7 +108,7 @@ def effective_rsu_delay(
     n: int,
     illegal_fraction: float,
     reauth_fraction: float,
-    timings: PrimitiveTimings | None = None,
+    timings: PrimitiveTimings,
     sym_decrypt_ms: float = 0.01,
 ) -> float:
     """RSU-side delay for n arrivals when the fast path serves the rest.
@@ -119,7 +116,6 @@ def effective_rsu_delay(
     Vehicles that are illegal or must re-run the full handshake pay the
     full single-verification cost; the remainder pay the fast-path cost.
     """
-    timings = timings or PrimitiveTimings()
     for name, frac in (("illegal", illegal_fraction), ("reauth", reauth_fraction)):
         if not 0 <= frac <= 1:
             raise ValueError(f"{name}_fraction outside [0, 1]")
@@ -196,11 +192,10 @@ def average_delay(samples: Iterable[DelaySample]) -> float:
 
 
 def cost_table_rows(
-    n_values: Iterable[int], timings: PrimitiveTimings | None = None
+    n_values: Iterable[int], timings: PrimitiveTimings
 ) -> list[dict[str, object]]:
     """Rows for the comparison CSV: per-scheme delay (both sides) and
     per-scheme transmission overhead."""
-    timings = timings or PrimitiveTimings()
     rows: list[dict[str, object]] = []
     for n in n_values:
         for scheme in DELAY_SCHEMES:

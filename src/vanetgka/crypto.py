@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import os
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -41,14 +40,14 @@ PSEUDONYM_LEN = 42
 
 
 # ---------------------------------------------------------------------------
-# Primality / parameter generation
+# Primality
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin with fixed-seed witnesses (deterministic across runs)."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin, 40 rounds with fixed-seed witnesses (deterministic across runs)."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -59,7 +58,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         r += 1
     rng = random.Random(0x5AFE)
-    for _ in range(rounds):
+    for _ in range(40):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -71,14 +70,6 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         else:
             return False
     return True
-
-
-def generate_safe_prime(q_bits: int, rng: random.Random) -> tuple[int, int]:
-    """Return (p, q) with p = 2q + 1, both prime, q of q_bits bits."""
-    while True:
-        q = rng.getrandbits(q_bits) | (1 << (q_bits - 1)) | 1
-        if is_probable_prime(q) and is_probable_prime(2 * q + 1):
-            return 2 * q + 1, q
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +164,14 @@ class SystemParams:
     def hash_to_scalar(self, data: bytes) -> Scalar:
         return _expand_to_int(b"h2s", data, self.q) % (self.q - 1) + 1
 
-    def mask_hash(self, e: GElem, out_len: int = PSEUDONYM_LEN) -> bytes:
-        return _expand(b"mask", self.encode_elem(e), out_len)
+    def mask_hash(self, e: GElem) -> bytes:
+        return _expand(b"mask", self.encode_elem(e), PSEUDONYM_LEN)
 
     # -- serialization ---------------------------------------------------------
 
     def encode_elem(self, x: int) -> bytes:
         """Fixed-width big-endian encoding shared by G, G1 and scalar values."""
         return x.to_bytes(self.element_width, "big")
-
-    def decode_elem(self, data: bytes) -> int:
-        if len(data) != self.element_width:
-            raise ValueError("wrong element width")
-        return int.from_bytes(data, "big")
 
     @property
     def hash_config(self) -> dict[str, str]:
@@ -305,23 +291,24 @@ def kdf(value: int, context: bytes) -> bytes:
     return _hmac.digest(_kdf_key(context), value.to_bytes(n, "big"), "sha256")
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """a XOR b for byte strings of equal length."""
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         len(a), "big"
     )
 
 
-def sym_encrypt(key: bytes, plaintext: bytes, rng: random.Random | None = None) -> bytes:
+def sym_encrypt(key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
     """nonce || plaintext XOR keystream.  Unauthenticated: pair with hmac_tag."""
-    nonce = rng.randbytes(SYM_NONCE_LEN) if rng is not None else os.urandom(SYM_NONCE_LEN)
-    return nonce + _xor(plaintext, _ctr_sha256(key + nonce, len(plaintext)))
+    nonce = rng.randbytes(SYM_NONCE_LEN)
+    return nonce + xor_bytes(plaintext, _ctr_sha256(key + nonce, len(plaintext)))
 
 
 def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < SYM_NONCE_LEN:
         raise DecryptFail("ciphertext shorter than nonce")
     nonce, body = ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:]
-    return _xor(body, _ctr_sha256(key + nonce, len(body)))
+    return xor_bytes(body, _ctr_sha256(key + nonce, len(body)))
 
 
 def hmac_tag(key: bytes, data: bytes) -> bytes:

@@ -54,7 +54,6 @@ class GroupState:
     gamma: Scalar = 0
     members: dict[bytes, MemberRecord] = field(default_factory=dict)
     gk: GElem | None = None
-    prev_gk: GElem | None = None
 
 
 @dataclass
@@ -64,16 +63,14 @@ class MemberState:
     fid: bytes
     n1: Scalar
     lam: Scalar
-    blinded: GElem = 0
-    product: GElem = 0
     gk: GElem | None = None
     epoch: int = 0
 
 
 @dataclass(frozen=True)
 class RekeyResult:
-    epoch: int
-    gk: GElem
+    """What a rekey sends; the new epoch and key are in the ``GroupState``."""
+
     share_updates: dict[bytes, wire.ShareUpdate]  # fid -> per-member material
     notice: wire.GroupKeyNotice | None  # new gk under the previous gk
 
@@ -120,7 +117,7 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     product = params.g_prod(rec.blinded for rec in state.members.values())
     new_gk = params.g_mul(params.g_exp(params.g, gamma), product)
 
-    state.prev_gk = state.gk
+    old_gk = state.gk
     state.gamma = gamma
     state.gk = new_gk
     state.epoch += 1
@@ -133,11 +130,11 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
         for fid, rec in state.members.items()
     }
     notice = None
-    if state.prev_gk is not None:
-        notice = Channel.derive(state.prev_gk, b"gk").seal(
+    if old_gk is not None:
+        notice = Channel.derive(old_gk, b"gk").seal(
             w, wire.GroupKeyNotice, (new_gk,), rng, state.epoch
         )
-    return RekeyResult(epoch=state.epoch, gk=new_gk, share_updates=updates, notice=notice)
+    return RekeyResult(share_updates=updates, notice=notice)
 
 
 def handle_join(
@@ -170,11 +167,10 @@ def handle_leave(
     del state.members[fid]
     if not state.members:
         # group emptied out: drop the key material, nothing to broadcast
-        state.prev_gk = old_gk
         state.gk = None
         state.gamma = 0
         state.epoch += 1
-        return RekeyResult(state.epoch, 0, {}, None), None
+        return RekeyResult({}, None), None
     result = rsu_rekey(params, state, rng)
     product = params.g_prod(rec.blinded for rec in state.members.values())
     shares = tuple((rec.blinded, rec.fid) for rec in state.members.values())
@@ -200,8 +196,6 @@ def member_derive(
     """Recover the group key from the member's own rekey material."""
     blinded, product = Channel.derive(mstate.n1, b"n1").open(params.element_width, update)
     params.check_group_elems(blinded, product)
-    mstate.blinded = blinded
-    mstate.product = product
     mstate.gk = _derive(params, mstate, blinded, product)
     mstate.epoch = update.epoch
     return mstate.gk
@@ -228,8 +222,6 @@ def member_derive_from_leave(
     for blinded, fid in shares:
         if fid == mstate.fid:
             params.check_group_elems(blinded, product)
-            mstate.blinded = blinded
-            mstate.product = product
             mstate.gk = _derive(params, mstate, blinded, product)
             mstate.epoch = update.epoch
             return mstate.gk
@@ -263,14 +255,15 @@ class NeighborGkStore:
     never shadows it.
     """
 
-    def __init__(self, keep: int = 4):
-        self.keep = keep
+    KEEP = 4  # epochs per source
+
+    def __init__(self) -> None:
         self._by_source: dict[bytes, dict[int, GElem]] = {}
 
     def add(self, source_tid: bytes, epoch: int, gk: GElem) -> None:
         epochs = self._by_source.setdefault(source_tid, {})
         epochs[epoch] = gk
-        for old in sorted(epochs)[: -self.keep]:
+        for old in sorted(epochs)[: -self.KEEP]:
             del epochs[old]
 
     def current(self, source_tid: bytes) -> GElem | None:

@@ -28,6 +28,7 @@ from .crypto import (
     get_profile,
     rand_zq_star,
     schnorr_sign,
+    xor_bytes,
 )
 from .errors import DuplicateIdentity, TraceMismatch
 
@@ -71,9 +72,8 @@ class TaState:
     beacons: dict[bytes, wire.RsuBeacon] = field(default_factory=dict)
 
 
-def ta_init(profile: str = "default", rng: random.Random | None = None) -> TaState:
+def ta_init(profile: str, rng: random.Random) -> TaState:
     """Set up system parameters and the TA key pair."""
-    rng = rng or random.Random()
     params = get_profile(profile)
     params.validate()
     sk_ta = rand_zq_star(rng, params.q)
@@ -150,12 +150,6 @@ def unpad_tid(padded: bytes) -> bytes:
     return padded[1 : 1 + n]
 
 
-def _xor42(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
-        PSEUDONYM_LEN, "big"
-    )
-
-
 def refresh_vehicle_epoch(
     creds: NodeCredentials, params: SystemParams, rng: random.Random
 ) -> VehicleEpoch:
@@ -165,7 +159,7 @@ def refresh_vehicle_epoch(
     return VehicleEpoch(
         alpha=alpha,
         pk_v=params.g_exp(params.g, alpha),
-        fid=_xor42(pad_tid(creds.tid), mask),
+        fid=xor_bytes(pad_tid(creds.tid), mask),
     )
 
 
@@ -178,7 +172,7 @@ def trace(ta: TaState, fid: bytes, pk_v: GElem) -> bytes:
     if len(fid) != PSEUDONYM_LEN:
         raise ValueError(f"fid must be {PSEUDONYM_LEN} bytes")
     mask = ta.params.mask_hash(ta.params.g_exp(pk_v, ta.sk_ta))
-    return unpad_tid(_xor42(fid, mask))
+    return unpad_tid(xor_bytes(fid, mask))
 
 
 def credential_sound(params: SystemParams, creds: NodeCredentials) -> bool:

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation of the full protocol stack.
 
-Vehicles move at constant speed along a one-dimensional road divided into
+Vehicles move at one constant speed along a one-dimensional road divided into
 RSU service areas (nearest RSU wins).  Everything a node does goes
 through the real protocol modules and the real codec; computation time
 is charged from the analytic primitive timings rather than wall clock,
@@ -195,8 +195,7 @@ class _VehicleNode:
     index: int
     creds: NodeCredentials
     legit: bool
-    pos0: float
-    speed: float
+    pos0: float  # position at time 0; every vehicle moves at cfg.vehicle_speed_mps
     target: int | None = None  # index of the nearest RSU; None once off the road
     session: auth.AuthSession | None = None
     auth_started_ms: float = -1.0
@@ -217,9 +216,6 @@ class _VehicleNode:
     def joined(self) -> bool:
         """Holds its RSU's group key: ``mstate`` is set, and its ``gk`` too."""
         return self.mstate is not None and self.mstate.gk is not None
-
-    def pos(self, now_ms: float) -> float:
-        return self.pos0 + self.speed * now_ms / 1000.0
 
 
 _Node = _RsuNode | _VehicleNode
@@ -271,7 +267,6 @@ class Simulation:
                     creds=creds,
                     legit=i not in illegal_set,
                     pos0=self.rng.uniform(0, cfg.road_length_m),
-                    speed=cfg.vehicle_speed_mps,
                 )
             )
 
@@ -331,13 +326,17 @@ class Simulation:
 
     def _crossings(self, veh: _VehicleNode) -> list[tuple[float, int | None]]:
         """Times at which the vehicle's nearest RSU changes or it exits."""
+        speed = self.cfg.vehicle_speed_mps
         out: list[tuple[float, int | None]] = []
         for k in range(len(self.rsus) - 1):
             midpoint = (self.rsus[k].pos + self.rsus[k + 1].pos) / 2
             if veh.pos0 < midpoint:
-                out.append(((midpoint - veh.pos0) / veh.speed * 1000.0, k + 1))
-        out.append(((self.cfg.road_length_m - veh.pos0) / veh.speed * 1000.0, None))
+                out.append(((midpoint - veh.pos0) / speed * 1000.0, k + 1))
+        out.append(((self.cfg.road_length_m - veh.pos0) / speed * 1000.0, None))
         return out
+
+    def _pos(self, veh: _VehicleNode, now_ms: float) -> float:
+        return veh.pos0 + self.cfg.vehicle_speed_mps * now_ms / 1000.0
 
     # -- busy cursors and transmission ------------------------------------------
 
@@ -429,7 +428,7 @@ class Simulation:
     def _on_beacon(self, now: float, rsu_index: int) -> None:
         rsu = self.rsus[rsu_index]
         for veh in self.vehicles:
-            if self._needs_auth(veh, rsu, now) and self._in_rsu_range(rsu, veh.pos(now)):
+            if self._needs_auth(veh, rsu, now) and self._in_rsu_range(rsu, self._pos(veh, now)):
                 self._send(rsu.beacon, rsu, (veh,), now, 0.0)
         self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu_index)
 
@@ -599,14 +598,14 @@ class Simulation:
             msg = groupcomm.broadcast(
                 self.params, veh.mstate.gk, veh.mstate.fid, payload, self.rng
             )
-            pos = veh.pos(now)
+            pos = self._pos(veh, now)
             receivers = [rsu] if self._in_rsu_range(rsu, pos) else []
             for other in self.vehicles:
                 if (
                     other.target == veh.target
                     and other is not veh
                     and other.joined
-                    and abs(other.pos(now) - pos) <= self.cfg.vehicle_range_m
+                    and abs(self._pos(other, now) - pos) <= self.cfg.vehicle_range_m
                 ):
                     receivers.append(other)
             self._send(msg, veh, receivers, end, self.charges.seal)

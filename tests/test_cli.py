@@ -147,6 +147,18 @@ def test_codec_dump_garbage_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_codec_dump_rejects_a_width_below_one(tmp_path, capsys):
+    # RingResponse tag, empty tid, then a token count of 10^6: at width 0
+    # every element is empty, so these 9 bytes would decode to 10^6 tokens
+    path = tmp_path / "ring.bin"
+    path.write_bytes(b"\x02" + bytes(4) + (10**6).to_bytes(4, "big"))
+    for width in ("0", "-1"):
+        code, out, err = run(capsys, "codec", "dump", str(path), "--width", width)
+        assert code == 1
+        assert "--width must be at least 1" in err
+        assert out == ""
+
+
 def test_usage_error_is_nonzero(capsys):
     code, out, err = run(capsys, "no-such-command")
     assert code == 1

@@ -9,7 +9,6 @@ from vanetgka.crypto import (
     MAC_LEN,
     PROFILES,
     SystemParams,
-    generate_safe_prime,
     get_profile,
     hmac_tag,
     is_probable_prime,
@@ -168,7 +167,6 @@ def test_mask_hash_deterministic_width_and_balance():
     params = get_profile("small64")
     assert params.mask_hash(5) == params.mask_hash(5)
     assert len(params.mask_hash(5)) == 42
-    assert len(params.mask_hash(5, 7)) == 7
     rng = random.Random(3)
     ones = total = 0
     for _ in range(1000):
@@ -216,7 +214,7 @@ def test_kdf_collision_scan():
 def test_sym_round_trip():
     key = kdf(123, b"enc")
     for msg in (b"", b"x" * 200, bytes(range(256))):
-        assert sym_decrypt(key, sym_encrypt(key, msg)) == msg
+        assert sym_decrypt(key, sym_encrypt(key, msg, random.Random(1))) == msg
 
 
 def test_sym_ciphertext_length_and_freshness():
@@ -274,12 +272,6 @@ def test_unknown_profile_rejected():
         get_profile("nope")
 
 
-def test_generate_safe_prime_round_trip():
-    p, q = generate_safe_prime(16, random.Random(11))
-    assert p == 2 * q + 1
-    assert is_probable_prime(p) and is_probable_prime(q)
-
-
 def test_params_json_round_trip(tp):
     assert SystemParams.from_json_dict(tp.to_json_dict()) == tp
     with_keys = tp.with_ta_keys(8, 3)
@@ -289,9 +281,6 @@ def test_params_json_round_trip(tp):
 def test_element_codec(tp):
     assert tp.element_width == 1
     assert tp.encode_elem(7) == b"\x07"
-    assert tp.decode_elem(b"\x07") == 7
-    with pytest.raises(ValueError):
-        tp.decode_elem(b"\x00\x07")
 
 
 # --- schnorr -----------------------------------------------------------------------

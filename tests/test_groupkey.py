@@ -101,24 +101,24 @@ def test_rekey_two_members_golden_vector():
     state, mstates, result = make_group(params, [3, 5], [2])
     recs = list(state.members.values())
     assert [r.blinded for r in recs] == [5, 11]
-    assert result.gk == 10 == state.gk
+    assert state.gk == 10
     assert state.epoch == 1
 
 
 def test_rekey_single_member_golden_vector():
     # lambda 3, gamma 2: gk = g^2 * g^6 = g^8 = 3
     params = get_profile("test")
-    state, _, result = make_group(params, [3], [2])
-    assert result.gk == 3
+    state, _, _ = make_group(params, [3], [2])
+    assert state.gk == 3
 
 
 def test_member_derive_golden_vector():
     params = get_profile("test")
     state, mstates, result = make_group(params, [3, 5], [2])
     update = result.share_updates[fid_of(0)]
+    assert wire.Channel.derive(mstates[0].n1, b"n1").open(params.element_width, update) == (5, 9)
     gk = member_derive(params, mstates[0], update)
     # lambda^-1 = 4, g_exp(5, 4) = g^2 = 4, gk = 4 * 9 -> 10
-    assert mstates[0].blinded == 5
     assert params.g_exp(5, 4) == 4
     assert gk == 10
 
@@ -372,11 +372,11 @@ def test_transfer_requires_session_key_and_group_key():
 
 
 def test_neighbor_store_keeps_bounded_history():
-    store = NeighborGkStore(keep=3)
+    store = NeighborGkStore()
     for epoch in range(10):
         store.add(b"s", epoch, 1000 + epoch)
     assert store.current(b"s") == 1009
-    assert store.candidates() == [1009, 1008, 1007]
+    assert store.candidates() == [1009, 1008, 1007, 1006]
 
 
 # --- received elements outside the group ------------------------------------------

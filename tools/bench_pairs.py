@@ -26,9 +26,13 @@ verdict per end-to-end metric:
 - ``worse_beyond_bound``: the change's median is worse than the parent's by
   more than the metric's bound in ``BENCHMARK.json``.
 
+Per workload, ``failed_share`` holds each side's failed operations over its
+attempted ones, summed over its timed runs.
+
 ``--claim workload:metric`` names the gain that the change claims; the run
 exits 1 if that claim does not hold, if any end-to-end metric is worse beyond
-its bound, or if any run is not correct.
+its bound, if the change's failed share on a workload exceeds the parent's,
+or if any run is not correct.
 """
 
 from __future__ import annotations
@@ -106,6 +110,11 @@ def verdict(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def failed_share(runs: list[dict]) -> float:
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
 def summarise(runs: list[dict]) -> dict:
     return {name: quartiles([r["metrics"][name] for r in runs]) for name in runs[0]["metrics"]}
 
@@ -145,6 +154,7 @@ def main() -> int:
                       file=sys.stderr, flush=True)
             entry["summary"] = {side: summarise(rs) for side, rs in runs.items()}
             entry["verdict"] = verdict(runs["parent"], runs["change"])
+            entry["failed_share"] = {side: failed_share(rs) for side, rs in runs.items()}
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
         if args.trace_runs:
             entry["traced"] = {
@@ -162,6 +172,12 @@ def main() -> int:
         every_run += [r for rs in entry.get("traced", {}).values() for r in rs]
         if not all(r["correct"] for r in every_run):
             print(f"{workload}: a run is not correct", file=sys.stderr)
+            ok = False
+        shares = entry["failed_share"]
+        print(f"{workload} failed share: parent {shares['parent']:.6f}, "
+              f"change {shares['change']:.6f}")
+        if shares["change"] > shares["parent"]:
+            print(f"{workload}: the change fails a larger share of operations", file=sys.stderr)
             ok = False
         for name, v in entry["verdict"].items():
             print(f"{workload} {name}: median better by {v['median_gain_share']:+.3f} of the parent's "
