@@ -58,7 +58,7 @@ class GroupState:
 
 @dataclass
 class MemberState:
-    """Vehicle-side group view."""
+    """Vehicle-side group view: the member's lambda and the key it last derived."""
 
     fid: bytes
     n1: Scalar
@@ -248,7 +248,7 @@ def transfer_gk(
 class NeighborGkStore:
     """Per-source history of transferred group keys.
 
-    A short epoch history is kept (not just the newest key) so a vehicle
+    The last ``KEEP`` epochs are kept (not just the newest key) so a vehicle
     that left its old group right before that group rekeyed can still
     prove knowledge of a recently valid key.  Lookups yield newest first;
     an arriving transfer older than the stored maximum is recorded but

@@ -73,7 +73,7 @@ class TaState:
 
 
 def ta_init(profile: str, rng: random.Random) -> TaState:
-    """Set up system parameters and the TA key pair."""
+    """Set up system parameters and the TA key pair; ``rng`` draws the TA secret."""
     params = get_profile(profile)
     params.validate()
     sk_ta = rand_zq_star(rng, params.q)
