@@ -24,7 +24,7 @@ import hashlib
 import hmac as _hmac
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DecryptFail
 
@@ -210,6 +210,7 @@ class SystemParams:
         )
         if "hash_config" in d and d["hash_config"] != params.hash_config:
             raise ValueError("unsupported hash configuration")
+        params.validate()
         return params
 
 
@@ -279,16 +280,11 @@ def _expand_to_int(domain: bytes, data: bytes, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _kdf_key(context: bytes) -> bytes:
-    """The HMAC key of one KDF context; the contexts are a few constants."""
-    return hashlib.sha256(b"kdf:" + context).digest()
-
-
 def kdf(value: int, context: bytes) -> bytes:
     """32-byte key from a group element or scalar; contexts separate uses."""
     n = max(1, (value.bit_length() + 7) // 8)
-    return _hmac.digest(_kdf_key(context), value.to_bytes(n, "big"), "sha256")
+    key = hashlib.sha256(b"kdf:" + context).digest()
+    return _hmac.digest(key, value.to_bytes(n, "big"), "sha256")
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

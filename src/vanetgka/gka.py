@@ -81,8 +81,7 @@ class GkaSession:
         )
         self.phase = Phase.INIT
         self.x = self.r = self.t = 0
-        self.y_left = self.y_right = self.y = 0
-        self.v = self.s = 0
+        self.y_left = self.y_right = 0
         self.commits: dict[bytes, wire.RingCommit] = {}
         self.responses: dict[bytes, wire.RingResponse] = {}
         self.sk: GElem | None = None
@@ -142,19 +141,19 @@ class GkaSession:
         right = self.roster[(self.index + 1) % self.n].tid
         self.y_left = params.g_exp(self.commits[left].x_pub, self.x)
         self.y_right = params.g_exp(self.commits[right].x_pub, self.x)
-        self.y = params.g_mul(self.y_right, params.g_inv(self.y_left))
-        self.v = params.hash_to_scalar(self._challenge_bytes(self.y_left, self.y_right))
-        self.s = (self.r - self.v * self.creds.sk) % params.q
+        y = params.g_mul(self.y_right, params.g_inv(self.y_left))
+        v = params.hash_to_scalar(self._challenge_bytes(self.y_left, self.y_right))
+        s = (self.r - v * self.creds.sk) % params.q
         tokens = tuple(
             params.g_exp(self.commits[p.tid].t_pub, self.r)
             for p in self.roster
             if p.tid != self.creds.tid
         )
-        msg = wire.RingResponse(
-            tid=self.creds.tid, y=self.y, s=self.s, tokens=tokens, sig_c=0, sig_s=0
+        msg = wire.RingResponse(tid=self.creds.tid, y=y, s=s, tokens=tokens, sig_c=0, sig_s=0)
+        sig_c, sig_s = schnorr_sign(
+            params, self.creds.sk, wire.signed_input(msg, params.element_width)
         )
-        c, s = schnorr_sign(params, self.creds.sk, wire.signed_input(msg, params.element_width))
-        msg = wire.RingResponse(msg.tid, msg.y, msg.s, msg.tokens, c, s)
+        msg = wire.RingResponse(msg.tid, y, s, tokens, sig_c, sig_s)
         self.responses[self.creds.tid] = msg
         self.phase = Phase.ROUND2_DONE
         return msg

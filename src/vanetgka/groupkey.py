@@ -266,12 +266,6 @@ class NeighborGkStore:
         for old in sorted(epochs)[: -self.KEEP]:
             del epochs[old]
 
-    def current(self, source_tid: bytes) -> GElem | None:
-        epochs = self._by_source.get(source_tid)
-        if not epochs:
-            return None
-        return epochs[max(epochs)]
-
     def candidates(self) -> list[GElem]:
         out: list[GElem] = []
         for epochs in self._by_source.values():

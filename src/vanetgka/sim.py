@@ -13,7 +13,8 @@ bandwidth plus a fixed propagation term.
 
 Scheduling is a single binary heap of ``(time_ms, seq, handler, args)``
 entries, ordered by time and then by push order; ``run()`` pops one and
-calls ``handler(self, time_ms, *args)``.  A send is one delivery entry
+calls ``handler(self, time_ms, *args)``.  Every event carries the nodes it
+concerns, and nodes are compared by identity.  A send is one delivery entry
 carrying the sender node and the tuple of its receiver nodes, all of
 which it reaches at the same time; ``Simulation._on_delivery`` takes them
 in order.  For each, a handler per receiver kind and message type returns
@@ -23,14 +24,15 @@ type, error class), an end time becomes one delay sample.  Byte node ids
 are data only: session keys, sample and trace labels.
 
 A vehicle keeps each fact once: it is on the road while it has a nearest
-RSU (``target``), and joined while its member state holds a group key.
+RSU node (``target``), and joined while its member state holds a group key.
 
 Every entry a handler pushes lies strictly after the time it runs at, so
 simulated time never goes backwards.  All randomness flows from one
 seeded generator, and reports are byte-identical across runs with the
 same configuration.
 
-Set SIM_LOG=trace to dump the event stream to stderr.
+Set SIM_LOG=trace to dump the event stream to stderr, one line per event
+naming its nodes by id.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import pairwise
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
@@ -83,7 +86,6 @@ class ScenarioConfig:
     propagation_ms: float = 0.005
     sym_decrypt_ms: float = 0.01
     crypto_profile: str = "default"
-    gk_transfer_enabled: bool = True
 
     def validate(self) -> None:
         positives = {
@@ -174,7 +176,6 @@ class _Charges:
 
 @dataclass
 class _RsuNode:
-    index: int
     creds: NodeCredentials
     beacon: wire.RsuBeacon
     pos: float
@@ -192,11 +193,10 @@ class _RsuNode:
 
 @dataclass
 class _VehicleNode:
-    index: int
     creds: NodeCredentials
     legit: bool
     pos0: float  # position at time 0; every vehicle moves at cfg.vehicle_speed_mps
-    target: int | None = None  # index of the nearest RSU; None once off the road
+    target: _RsuNode | None = None  # the nearest RSU; None once off the road
     session: auth.AuthSession | None = None
     auth_started_ms: float = -1.0
     mstate: MemberState | None = None
@@ -242,7 +242,7 @@ class Simulation:
             creds, beacon = register_rsu(
                 self.ta, b"rsu-%03d" % k, (int(pos * 100), 0), self.rng
             )
-            self.rsus.append(_RsuNode(index=k, creds=creds, beacon=beacon, pos=pos))
+            self.rsus.append(_RsuNode(creds=creds, beacon=beacon, pos=pos))
         if cfg.n_rsus >= 2:
             keys, _, _ = run_agreement(
                 self.params, [r.creds for r in self.rsus], self.rng
@@ -263,7 +263,6 @@ class Simulation:
                 creds = replace(creds, s_u=fake)
             self.vehicles.append(
                 _VehicleNode(
-                    index=i,
                     creds=creds,
                     legit=i not in illegal_set,
                     pos0=self.rng.uniform(0, cfg.road_length_m),
@@ -275,8 +274,6 @@ class Simulation:
         self.fastpath_count = 0
         self.rekey_count = 0
         self.total_overhead_bytes = 0
-        self.obu_to_rsu_sends = 0
-        self.obu_overhead_values: set[int] = set()
         self.messages_sent = 0
         self.messages_delivered = 0
         # rejected deliveries by (message type, ProtocolError subclass) name
@@ -314,24 +311,21 @@ class Simulation:
         cfg = self.cfg
         for rsu in self.rsus:
             phase = self.rng.uniform(0, cfg.broadcast_interval_ms)
-            self._push(phase, Simulation._on_beacon, rsu.index)
+            self._push(phase, Simulation._on_beacon, rsu)
         for veh in self.vehicles:
-            veh.target = self._nearest_rsu_index(veh.pos0)
+            veh.target = min(self.rsus, key=lambda rsu: abs(rsu.pos - veh.pos0))
             for t_ms, new_target in self._crossings(veh):
                 if t_ms <= self.end_ms:
-                    self._push(t_ms, Simulation._on_vehicle_enter_range, veh.index, new_target)
+                    self._push(t_ms, Simulation._on_vehicle_enter_range, veh, new_target)
 
-    def _nearest_rsu_index(self, pos: float) -> int:
-        return min(range(len(self.rsus)), key=lambda k: abs(self.rsus[k].pos - pos))
-
-    def _crossings(self, veh: _VehicleNode) -> list[tuple[float, int | None]]:
+    def _crossings(self, veh: _VehicleNode) -> list[tuple[float, _RsuNode | None]]:
         """Times at which the vehicle's nearest RSU changes or it exits."""
         speed = self.cfg.vehicle_speed_mps
-        out: list[tuple[float, int | None]] = []
-        for k in range(len(self.rsus) - 1):
-            midpoint = (self.rsus[k].pos + self.rsus[k + 1].pos) / 2
+        out: list[tuple[float, _RsuNode | None]] = []
+        for left, right in pairwise(self.rsus):
+            midpoint = (left.pos + right.pos) / 2
             if veh.pos0 < midpoint:
-                out.append(((midpoint - veh.pos0) / speed * 1000.0, k + 1))
+                out.append(((midpoint - veh.pos0) / speed * 1000.0, right))
         out.append(((self.cfg.road_length_m - veh.pos0) / speed * 1000.0, None))
         return out
 
@@ -365,10 +359,7 @@ class Simulation:
         self.messages_sent += 1
         msg_id = self.messages_sent
         if type(sender) is _VehicleNode:
-            self.obu_to_rsu_sends += 1
-            overhead = groupcomm.measure_overhead(decoded)
-            self.obu_overhead_values.add(overhead)
-            self.total_overhead_bytes += overhead
+            self.total_overhead_bytes += groupcomm.measure_overhead(decoded)
         tx = self._tx_ms(len(data))
         arrive = depart_ms + tx
         if arrive > self.end_ms:
@@ -390,7 +381,8 @@ class Simulation:
 
     def _trace(self, time_ms: float, handler, args: tuple) -> None:
         """A delivery prints one line per receiver; any other event, its
-        handler's name after ``_on_`` and its arguments."""
+        handler's name after ``_on_`` and the ids of its nodes (None for a
+        vehicle's exit from the road)."""
         if handler is Simulation._on_delivery:
             msg, msg_id, sender, receivers = args[:4]
             lines = [
@@ -399,7 +391,8 @@ class Simulation:
                 for receiver in receivers
             ]
         else:
-            lines = [f"{handler.__name__.removeprefix('_on_')} {args}"]
+            nodes = " ".join("None" if n is None else n.node_id.decode() for n in args)
+            lines = [f"{handler.__name__.removeprefix('_on_')} {nodes}"]
         for line in lines:
             print(f"[sim] t={time_ms:10.3f} {line}", file=sys.stderr, flush=True)
 
@@ -419,24 +412,24 @@ class Simulation:
         return abs(rsu.pos - pos) <= self.cfg.rsu_range_m
 
     def _needs_auth(self, veh: _VehicleNode, rsu: _RsuNode, now: float) -> bool:
-        if veh.joined or veh.target != rsu.index:
+        if veh.joined or veh.target is not rsu:
             return False
         # restart a stalled attempt after a few beacon periods
         stalled = now - veh.auth_started_ms >= 2.5 * self.cfg.broadcast_interval_ms
         return veh.session is None or stalled
 
-    def _on_beacon(self, now: float, rsu_index: int) -> None:
-        rsu = self.rsus[rsu_index]
+    def _on_beacon(self, now: float, rsu: _RsuNode) -> None:
         for veh in self.vehicles:
             if self._needs_auth(veh, rsu, now) and self._in_rsu_range(rsu, self._pos(veh, now)):
                 self._send(rsu.beacon, rsu, (veh,), now, 0.0)
-        self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu_index)
+        self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu)
 
-    def _on_vehicle_enter_range(self, now: float, veh_index: int, new_target: int | None) -> None:
+    def _on_vehicle_enter_range(
+        self, now: float, veh: _VehicleNode, new_target: _RsuNode | None
+    ) -> None:
         """The vehicle leaves its RSU for ``new_target``, or the road if None;
         its exit is its last crossing, so it is on the road until then."""
-        veh = self.vehicles[veh_index]
-        rsu = self.rsus[veh.target]
+        rsu = veh.target
         if veh.joined:
             veh.prev_gk = veh.mstate.gk
             self._rsu_evict(now, rsu, veh)
@@ -468,11 +461,11 @@ class Simulation:
         return [
             veh
             for veh in self.vehicles
-            if veh.target == rsu.index and veh.joined and veh.mstate.fid in rsu.group.members
+            if veh.target is rsu and veh.joined and veh.mstate.fid in rsu.group.members
         ]
 
     def _transfer_group_key(self, rsu: _RsuNode, depart: float) -> None:
-        if not self.cfg.gk_transfer_enabled or rsu.session_key is None:
+        if rsu.session_key is None:
             return
         for other in self.rsus:
             if other is rsu:
@@ -519,7 +512,7 @@ class Simulation:
     # -- vehicle side -------------------------------------------------------------------
 
     def _vehicle_handle_beacon(self, now, veh, msg, sender):
-        rsu = self.rsus[veh.target]
+        rsu = veh.target
         if sender is not rsu or not self._needs_auth(veh, rsu, now):
             return None
         end = self._charge(veh, now, self.charges.beacon_verify + self.charges.epoch_refresh)
@@ -533,7 +526,7 @@ class Simulation:
         return end
 
     def _vehicle_handle_challenge(self, now, veh, msg, sender):
-        rsu = self.rsus[veh.target]
+        rsu = veh.target
         if veh.session is None or veh.joined or sender is not rsu:
             return None
         if auth.is_fastpath_ack(msg):
@@ -557,9 +550,7 @@ class Simulation:
         if not veh.broadcast_armed:
             # one self-rescheduling broadcast chain per vehicle, ever
             veh.broadcast_armed = True
-            self._push(
-                end + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh.index
-            )
+            self._push(end + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh)
         return end
 
     def _vehicle_handle_notice(self, now, veh, msg, sender):
@@ -587,12 +578,11 @@ class Simulation:
         jitter = self.cfg.interval_variance_s * 1000.0
         return self.cfg.broadcast_interval_ms + self.rng.uniform(-jitter, jitter)
 
-    def _on_vehicle_broadcast(self, now: float, veh_index: int) -> None:
-        veh = self.vehicles[veh_index]
+    def _on_vehicle_broadcast(self, now: float, veh: _VehicleNode) -> None:
         if not veh.on_road:
             return
         if veh.joined:
-            rsu = self.rsus[veh.target]
+            rsu = veh.target
             end = self._charge(veh, now, self.charges.seal)
             payload = self.rng.randbytes(self.cfg.message_size_bytes)
             msg = groupcomm.broadcast(
@@ -602,19 +592,18 @@ class Simulation:
             receivers = [rsu] if self._in_rsu_range(rsu, pos) else []
             for other in self.vehicles:
                 if (
-                    other.target == veh.target
+                    other.target is rsu
                     and other is not veh
                     and other.joined
                     and abs(self._pos(other, now) - pos) <= self.cfg.vehicle_range_m
                 ):
                     receivers.append(other)
             self._send(msg, veh, receivers, end, self.charges.seal)
-        self._push(now + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh_index)
+        self._push(now + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh)
 
     # -- rsu side --------------------------------------------------------------------
 
     def _rsu_handle_hello(self, now, rsu, msg, sender):
-        candidates = rsu.neighbor_store.candidates() if self.cfg.gk_transfer_enabled else []
         try:
             # freshness is checked first, against the busy cursor
             session, challenge = auth.process_hello(
@@ -623,7 +612,7 @@ class Simulation:
                 msg,
                 now_ms=max(now, rsu.busy_until),
                 delta_max_ms=self.cfg.delta_max_ms,
-                neighbor_gks=candidates,
+                neighbor_gks=rsu.neighbor_store.candidates(),
                 rng=self.rng,
             )
         except ProtocolError:

@@ -2,7 +2,8 @@
 
 A message is a 1-byte type tag followed by its fields in declaration order.
 Each message class lists its fields' kinds in ``LAYOUT``, and
-``encode_message``/``decode_message`` walk that layout. The kinds (all
+``encode_message``/``decode_message`` frame that layout after the tag the way
+``pack``/``unpack`` frame any kinds. The kinds (all
 integers big-endian):
 
   elem        group element, element_width bytes (G, G1 and scalar values alike)
@@ -79,9 +80,6 @@ class _Writer:
         self.width = width
         self.parts: list[bytes] = []
 
-    def u8(self, v: int) -> None:
-        self.parts.append(v.to_bytes(1, "big"))
-
     def u64(self, v: int) -> None:
         if not 0 <= v <= _U64_MAX:
             raise ValueError(f"u64 field out of range: {v}")
@@ -149,9 +147,6 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
 
@@ -191,9 +186,13 @@ class _Reader:
     def rest(self) -> bytes:
         return self.take(len(self.data) - self.pos)
 
-    def done(self) -> None:
+    def read(self, gets: tuple) -> tuple:
+        """One value per reader method in ``gets``; ValueError unless they
+        end exactly at the end of the data."""
+        values = tuple([get(self) for get in gets])
         if self.pos != len(self.data):
             raise ValueError(f"{len(self.data) - self.pos} trailing bytes")
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,6 @@ MESSAGE_TYPES: tuple[type, ...] = get_args(WireMessage)
 _BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
 
 
-
 @lru_cache(maxsize=64)
 def _frame(kinds: tuple[str, ...]) -> tuple[tuple, tuple]:
     """The writer and the reader method of each kind, looked up once per layout."""
@@ -403,14 +401,13 @@ def _frame(kinds: tuple[str, ...]) -> tuple[tuple, tuple]:
     return tuple(getattr(_Writer, k) for k in kinds), tuple(getattr(_Reader, k) for k in kinds)
 
 
-# per class: the writer and reader method of each field, and a getter that
-# returns the field values in layout order; _frame also rejects, at import, a
-# LAYOUT or BODY with mac or rest anywhere but last
+# per class: a getter that returns the field values in layout order; _frame
+# rejects, at import, a LAYOUT or BODY with mac or rest anywhere but last
 for _cls in MESSAGE_TYPES:
     _names = [f.name for f in fields(_cls)]
     assert len(_names) == len(_cls.LAYOUT), _cls
-    _cls._PUT, _cls._GET = _frame(_cls.LAYOUT)
     _cls._VALUES = attrgetter(*_names)
+    _frame(_cls.LAYOUT)
     if hasattr(_cls, "BODY"):
         _frame(_cls.BODY)
 
@@ -418,11 +415,7 @@ _NO_MAC = bytes(MAC_LEN)
 
 
 def _encode(cls: type, values: tuple, element_width: int) -> bytes:
-    w = _Writer(element_width)
-    w.u8(cls.TAG)
-    for put, v in zip(cls._PUT, values):
-        put(w, v)
-    return w.getvalue()
+    return bytes((cls.TAG,)) + pack(cls.LAYOUT, values, element_width)
 
 
 def pack(kinds: tuple[str, ...], values, element_width: int) -> bytes:
@@ -437,13 +430,10 @@ def unpack(kinds: tuple[str, ...], data: bytes, element_width: int) -> tuple:
     """The values ``pack`` framed by ``kinds``; DecryptFail if ``data`` is
     truncated or longer than the frame."""
     gets = _frame(kinds)[1]
-    r = _Reader(data, element_width)
     try:
-        values = tuple([get(r) for get in gets])
-        r.done()
+        return _Reader(data, element_width).read(gets)
     except ValueError as e:
         raise DecryptFail(f"malformed body: {e}") from None
-    return values
 
 
 def signed_input(msg: WireMessage, element_width: int) -> bytes:
@@ -460,14 +450,12 @@ def encode_message(msg: WireMessage, element_width: int) -> bytes:
 
 def decode_message(data: bytes, element_width: int) -> WireMessage:
     r = _Reader(data, element_width)
-    tag = r.u8()
+    tag = r.take(1)[0]
     try:
         cls = _BY_TAG[tag]
     except KeyError:
         raise ValueError(f"unknown type tag 0x{tag:02x}") from None
-    msg = cls(*[get(r) for get in cls._GET])
-    r.done()
-    return msg
+    return cls(*r.read(_frame(cls.LAYOUT)[1]))
 
 
 @lru_cache(maxsize=32)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from vanetgka import crypto
 from vanetgka.crypto import (
     MAC_LEN,
     PROFILES,
@@ -192,8 +191,6 @@ def test_kdf_table_gives_the_hmac_under_the_hashed_context():
             n = max(1, (value.bit_length() + 7) // 8)
             expected = hmac.new(key, value.to_bytes(n, "big"), "sha256").digest()
             assert kdf(value, context) == expected
-    maxsize = crypto._kdf_key.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
 
 
 def test_element_width_is_cached_per_instance():

@@ -340,15 +340,15 @@ def test_transfer_round_trip_and_staleness():
     msg = transfer_gk(params, state, sk, rng)
     epoch, gk = receive_gk_transfer(params, store, b"rsu-a", msg, sk)
     assert (epoch, gk) == (1, state.gk)
-    assert store.current(b"rsu-a") == state.gk
+    assert store.candidates()[0] == state.gk
 
     first_gk = state.gk
     rsu_rekey(params, state, rng)
     receive_gk_transfer(params, store, b"rsu-a", transfer_gk(params, state, sk, rng), sk)
-    assert store.current(b"rsu-a") == state.gk
+    assert store.candidates()[0] == state.gk
     # stale epoch arriving late never shadows the newer key
     receive_gk_transfer(params, store, b"rsu-a", msg, sk)
-    assert store.current(b"rsu-a") == state.gk
+    assert store.candidates()[0] == state.gk
     # but remains available for fast-path matching
     assert first_gk in store.candidates()
 
@@ -375,7 +375,7 @@ def test_neighbor_store_keeps_bounded_history():
     store = NeighborGkStore()
     for epoch in range(10):
         store.add(b"s", epoch, 1000 + epoch)
-    assert store.current(b"s") == 1009
+    assert store.candidates()[0] == 1009
     assert store.candidates() == [1009, 1008, 1007, 1006]
 
 

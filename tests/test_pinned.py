@@ -110,7 +110,7 @@ def pinned_exchange() -> list[tuple[str, wire.WireMessage]]:
 
     # the departed vehicle re-enters at the neighbour RSU on the fast path
     _, _, msgs = _admit(
-        ta, r1, b1, vehicles[-1], groupkey.GroupState(), store.current(r0.tid), rng, 9000
+        ta, r1, b1, vehicles[-1], groupkey.GroupState(), store.candidates()[0], rng, 9000
     )
     out += [(label, m) for label, m in msgs if label == "FastPathAck"]
     return out

@@ -180,3 +180,18 @@ def test_registry_file_has_no_secret_fields(tmp_path):
         assert "s_u" not in node
     keystore = json.loads((tmp_path / "keystore.json").read_text())
     assert "sk_ta" in keystore
+
+
+def test_load_ta_rejects_invalid_params(tmp_path):
+    import json
+
+    save_ta(ta_init("test", random.Random(19)), tmp_path)
+    path = tmp_path / "registry.json"
+    saved = path.read_text()
+    # p raised by 2 is not prime; g = 1 does not generate the order-q group
+    for field, value in (("p", "25"), ("g", "1")):
+        data = json.loads(saved)
+        data["params"][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            load_ta(tmp_path)

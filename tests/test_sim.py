@@ -10,6 +10,7 @@ from vanetgka.sim import (
     ScenarioConfig,
     Simulation,
     _Charges,
+    _VehicleNode,
     run_scenario,
     sweep_density,
     write_sweep_csv,
@@ -113,19 +114,6 @@ def test_fast_path_engages_across_rsu_boundary():
     assert report.fastpath_count > 0
 
 
-def test_gk_transfer_disabled_kills_fast_path():
-    cfg = dataclasses.replace(
-        FAST,
-        n_vehicles=10,
-        illegal_fraction=0.0,
-        rng_seed=11,
-        vehicle_speed_mps=30.0,
-        gk_transfer_enabled=False,
-    )
-    report = run_scenario(cfg)
-    assert report.fastpath_count == 0
-
-
 def test_illegal_vehicles_fail_and_are_not_admitted():
     cfg = dataclasses.replace(FAST, n_vehicles=8, illegal_fraction=0.25, rng_seed=7)
     sim = Simulation(cfg)
@@ -135,11 +123,28 @@ def test_illegal_vehicles_fail_and_are_not_admitted():
     assert illegal and not any(v.joined for v in illegal)
 
 
+def vehicle_send_overheads(sim):
+    """Wrap ``sim._send``; the returned list collects the overhead of every
+    message a vehicle sends."""
+    overheads = []
+    send = sim._send
+
+    def counting_send(msg, sender, *args):
+        if type(sender) is _VehicleNode:
+            overheads.append(groupcomm.measure_overhead(msg))
+        send(msg, sender, *args)
+
+    sim._send = counting_send
+    return overheads
+
+
 def test_overhead_is_58_per_vehicle_message():
     sim = Simulation(FAST)
+    overheads = vehicle_send_overheads(sim)
     report = sim.run()
-    assert report.total_overhead_bytes == 58 * sim.obu_to_rsu_sends
-    assert sim.obu_to_rsu_sends > 0
+    assert len(overheads) > 0
+    assert set(overheads) == {58}
+    assert report.total_overhead_bytes == 58 * len(overheads)
 
 
 def test_conservation_deliveries_do_not_exceed_fanout():
@@ -223,8 +228,7 @@ def test_a_message_the_guard_ignores_is_neither_drop_nor_sample():
     veh = _joined_vehicle(sim)
     drops, samples, delivered = dict(sim.drops), len(sim.samples), sim.messages_delivered
     # a joined vehicle does not answer beacons
-    rsu = sim.rsus[veh.target]
-    _deliver(sim, rsu.beacon, rsu, veh)
+    _deliver(sim, veh.target.beacon, veh.target, veh)
     assert (dict(sim.drops), len(sim.samples)) == (drops, samples)
     assert sim.messages_delivered == delivered + 1
 
