@@ -206,9 +206,7 @@ def _cmd_cost_table(args) -> int:
 
     if args.n_max < 1 or args.step < 1:
         raise ValueError("--n-max and --step must be positive")
-    timings = PrimitiveTimings(
-        t_par=args.t_par, t_mul=args.t_mul, t_mp=args.t_mp, t_hmac=args.t_hmac
-    )
+    timings = PrimitiveTimings(**{f.name: getattr(args, f.name) for f in fields(PrimitiveTimings)})
     timings.validate()
     rows = cost_table_rows(range(args.step, args.n_max + 1, args.step), timings)
     with open(args.out, "w", newline="") as fh:

@@ -6,6 +6,7 @@ The per-primitive coefficient tables below are the published comparison
 rows; ``n`` counts verifications (OBU side) or vehicles served (RSU
 side), and n = 0 means no work at all.
 
+``StepCharges`` prices each protocol step for the simulator.
 ``effective_rsu_delay`` models the group-key fast path: only vehicles
 that cannot present a transferred group key (illegal ones plus a
 configurable re-authentication fraction) pay the full per-vehicle
@@ -15,6 +16,7 @@ decryption.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
@@ -29,8 +31,8 @@ class PrimitiveTimings:
     t_hmac: float = 0.006
 
     def validate(self) -> None:
-        if min(self.t_par, self.t_mul, self.t_mp, self.t_hmac) < 0:
-            raise ValueError("primitive timings must be nonnegative")
+        if not all(0 <= t < math.inf for t in (self.t_par, self.t_mul, self.t_mp, self.t_hmac)):
+            raise ValueError("primitive timings must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,6 @@ OVERHEAD_BYTES_PER_MESSAGE: dict[str, int] = {
     "ours": 58,
 }
 
-DELAY_SCHEMES = tuple(VERIFICATION_FORMS)
-OVERHEAD_SCHEMES = tuple(OVERHEAD_BYTES_PER_MESSAGE)
-
-
 def verification_delay(scheme: str, side: str, n: int, timings: PrimitiveTimings) -> float:
     """Milliseconds to complete n verifications on the given side."""
     if n < 0:
@@ -99,9 +97,44 @@ def verification_delay(scheme: str, side: str, n: int, timings: PrimitiveTimings
     return form.evaluate(n, timings)
 
 
-def fastpath_cost(timings: PrimitiveTimings, sym_decrypt_ms: float = 0.01) -> float:
-    """Per-vehicle cost when re-admission proves a transferred group key."""
-    return 2 * timings.t_hmac + sym_decrypt_ms
+# milliseconds to decrypt one sealed body, a charge the published rows leave out
+SYM_DECRYPT_MS = 0.01
+
+
+class StepCharges:
+    """Compute charge per protocol step, in milliseconds.  A full RSU-side
+    admission (``hello_full + confirm_verify``) and ``confirm_create`` are the
+    "ours" rows at n = 1 plus HMACs and decryptions; ``hello_fast`` is a
+    fast-path re-admission."""
+
+    def __init__(self, t: PrimitiveTimings, sym_decrypt_ms: float):
+        sym = sym_decrypt_ms
+        self.beacon_verify = 2 * t.t_mul
+        self.epoch_refresh = 2 * t.t_mul
+        self.hello_create = 2 * t.t_mul + t.t_hmac + 2 * sym
+        self.hello_full = t.t_mul + 2 * t.t_hmac + 2 * sym
+        self.hello_fast = 2 * t.t_hmac + sym
+        self.hello_stale = 0.001  # a stale hello fails a clock check, no primitive
+        self.challenge_create = t.t_mul + t.t_hmac + sym
+        # vehicle: challenge verify plus the confirmation-value computation
+        self.confirm_create = t.t_mp + 5 * t.t_mul + 2 * t.t_par + t.t_hmac + sym
+        # rsu: recompute the confirmation value and compare
+        self.confirm_verify = 3 * t.t_mul + 2 * t.t_par + t.t_hmac + sym
+        self.offer_create = t.t_mul + t.t_hmac + sym
+        self.offer_verify = t.t_hmac + sym
+        self.rekey_base = t.t_mul
+        self.rekey_per_member = 2 * t.t_mul
+        self.seal = t.t_hmac + sym
+        self.derive = 2 * t.t_mul + t.t_hmac + sym
+        self.ack = t.t_hmac
+
+    def leave_rekey(self, members: int) -> float:
+        """RSU rekey for a leave from a group of ``members``."""
+        return self.rekey_base + self.rekey_per_member * members
+
+    def join_rekey(self, members: int) -> float:
+        """RSU share-offer check and rekey for one joiner to ``members``."""
+        return self.offer_verify + self.rekey_base + self.rekey_per_member * (members + 1)
 
 
 def effective_rsu_delay(
@@ -109,7 +142,7 @@ def effective_rsu_delay(
     illegal_fraction: float,
     reauth_fraction: float,
     timings: PrimitiveTimings,
-    sym_decrypt_ms: float = 0.01,
+    sym_decrypt_ms: float = SYM_DECRYPT_MS,
 ) -> float:
     """RSU-side delay for n arrivals when the fast path serves the rest.
 
@@ -123,7 +156,7 @@ def effective_rsu_delay(
         raise ValueError("fraction sum exceeds 1")
     full = verification_delay("ours", RSU, 1, timings)
     slow = illegal_fraction + reauth_fraction
-    return n * (slow * full + (1 - slow) * fastpath_cost(timings, sym_decrypt_ms))
+    return n * (slow * full + (1 - slow) * StepCharges(timings, sym_decrypt_ms).hello_fast)
 
 
 def transmission_overhead(scheme: str, n: int) -> int:
@@ -198,7 +231,7 @@ def cost_table_rows(
     per-scheme transmission overhead."""
     rows: list[dict[str, object]] = []
     for n in n_values:
-        for scheme in DELAY_SCHEMES:
+        for scheme in VERIFICATION_FORMS:
             for side in (OBU, RSU):
                 rows.append(
                     {
@@ -209,7 +242,7 @@ def cost_table_rows(
                         "bytes": "",
                     }
                 )
-        for scheme in OVERHEAD_SCHEMES:
+        for scheme in OVERHEAD_BYTES_PER_MESSAGE:
             rows.append(
                 {
                     "n": n,

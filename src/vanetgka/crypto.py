@@ -113,8 +113,9 @@ class SystemParams:
             if self.fold(pow(elem, self.q, self.p)) != 1:
                 raise ValueError(f"{name} does not have order q")
 
-    def with_ta_keys(self, pk_ta_g: GElem, pk_ta_g1: G1Elem) -> "SystemParams":
-        return replace(self, pk_ta_g=pk_ta_g, pk_ta_g1=pk_ta_g1)
+    def with_ta_keys(self, sk_ta: Scalar) -> "SystemParams":
+        """These parameters with the TA public keys of ``sk_ta``."""
+        return replace(self, pk_ta_g=self.g_exp(self.g, sk_ta), pk_ta_g1=self.g1_mul(sk_ta, 1))
 
     # -- group G ------------------------------------------------------------
 

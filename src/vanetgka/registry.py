@@ -76,9 +76,7 @@ def ta_init(profile: str, rng: random.Random) -> TaState:
     """Set up system parameters and the TA key pair; ``rng`` draws the TA secret."""
     params = get_profile(profile)
     sk_ta = rand_zq_star(rng, params.q)
-    pk_g = params.g_exp(params.g, sk_ta)
-    pk_g1 = params.g1_mul(sk_ta, 1)
-    return TaState(sk_ta=sk_ta, params=params.with_ta_keys(pk_g, pk_g1))
+    return TaState(sk_ta=sk_ta, params=params.with_ta_keys(sk_ta))
 
 
 def _check_new_tid(ta: TaState, tid: bytes) -> None:
@@ -226,7 +224,10 @@ def load_ta(directory: Path | str) -> TaState:
     registry = json.loads((directory / "registry.json").read_text())
     keystore = json.loads((directory / "keystore.json").read_text())
     params = SystemParams.from_json_dict(registry["params"])
-    ta = TaState(sk_ta=int(keystore["sk_ta"]), params=params)
+    sk_ta = int(keystore["sk_ta"])
+    if params != params.with_ta_keys(sk_ta):
+        raise ValueError("TA public keys are not g^sk_ta and sk_ta * P")
+    ta = TaState(sk_ta=sk_ta, params=params)
     for node in registry["nodes"]:
         tid = bytes.fromhex(node["tid"])
         secrets = keystore["nodes"][node["tid"]]
@@ -239,6 +240,8 @@ def load_ta(directory: Path | str) -> TaState:
             pk=int(node["pk"]) if node["pk"] is not None else None,
             loc=tuple(node["loc"]) if node["loc"] is not None else None,
         )
+        if not credential_sound(params, creds):
+            raise ValueError(f"node {node['tid']} has an unsound certification value")
         ta.registry[tid] = creds
         if node.get("beacon"):
             msg = wire.decode_message(bytes.fromhex(node["beacon"]), params.element_width)

@@ -3,8 +3,8 @@
 Vehicles move at one constant speed along a one-dimensional road divided into
 RSU service areas (nearest RSU wins).  Everything a node does goes
 through the real protocol modules and the real codec; computation time
-is charged from the analytic primitive timings rather than wall clock,
-so runs reproduce paper-scale delay magnitudes on any host.
+is charged from ``costs.StepCharges`` rather than wall clock, so runs
+reproduce paper-scale delay magnitudes on any host.
 
 Each node is a serial processor: work queues on a per-node busy cursor,
 and a message's verification delay includes the time it waited for the
@@ -40,16 +40,17 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 import os
 import random
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import pairwise
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
-from .costs import DelayMean, DelaySample, PrimitiveTimings
+from .costs import SYM_DECRYPT_MS, DelayMean, DelaySample, PrimitiveTimings, StepCharges
 from .crypto import GElem
 from .errors import ProtocolError
 from .gka import run_agreement
@@ -84,33 +85,20 @@ class ScenarioConfig:
     # plumbing knobs beyond the published table
     delta_max_ms: float = 500.0
     propagation_ms: float = 0.005
-    sym_decrypt_ms: float = 0.01
+    sym_decrypt_ms: float = SYM_DECRYPT_MS
     crypto_profile: str = "default"
 
     def validate(self) -> None:
-        positives = {
-            "road_length_m": self.road_length_m,
-            "sim_time_s": self.sim_time_s,
-            "message_size_bytes": self.message_size_bytes,
-            "broadcast_interval_ms": self.broadcast_interval_ms,
-            "rsu_range_m": self.rsu_range_m,
-            "vehicle_range_m": self.vehicle_range_m,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "vehicle_speed_mps": self.vehicle_speed_mps,
-            "n_rsus": self.n_rsus,
-            "delta_max_ms": self.delta_max_ms,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name, value in (
-            ("n_vehicles", self.n_vehicles),
-            ("interval_variance_s", self.interval_variance_s),
-            ("propagation_ms", self.propagation_ms),
-            ("sym_decrypt_ms", self.sym_decrypt_ms),
+        for name in (
+            "road_length_m", "sim_time_s", "message_size_bytes", "broadcast_interval_ms",
+            "rsu_range_m", "vehicle_range_m", "bandwidth_mbps", "vehicle_speed_mps",
+            "n_rsus", "delta_max_ms",
         ):
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be in (0, inf), got {getattr(self, name)}")
+        for name in ("n_vehicles", "interval_variance_s", "propagation_ms", "sym_decrypt_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be in [0, inf), got {getattr(self, name)}")
         if not 0 <= self.illegal_fraction <= 1:
             raise ValueError("illegal_fraction outside [0, 1]")
         if self.interval_variance_s * 1000.0 >= self.broadcast_interval_ms:
@@ -118,22 +106,31 @@ class ScenarioConfig:
             raise ValueError("interval_variance_s must be below broadcast_interval_ms")
         self.timings.validate()
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        timings = PrimitiveTimings(**d.pop("timings", {}))
-        known = {f for f in cls.__dataclass_fields__ if f != "timings"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(timings=timings, **d)
+        d = dict(_checked_fields(cls, d, "config"))
+        timings = _checked_fields(PrimitiveTimings, d.pop("timings", {}), "timings")
+        return cls(timings=PrimitiveTimings(**timings), **d)
 
     @classmethod
     def from_json_file(cls, path: Path | str) -> "ScenarioConfig":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _checked_fields(cls, d: object, what: str) -> dict:
+    """``d`` if it is an object of ``cls`` fields, each of its default's type;
+    an int may stand for a float, and an object for ``timings``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    kinds = {f.name: dict if f.default is MISSING else type(f.default) for f in fields(cls)}
+    unknown = set(d) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in d.items():
+        kind = (int, float) if kinds[name] is float else kinds[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{what} field {name} must be {kinds[name].__name__}, got {value!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -146,32 +143,6 @@ class MetricsReport:
     auth_count: int
     fastpath_count: int
     rekey_count: int
-
-
-class _Charges:
-    """Analytic per-operation compute charges, in milliseconds."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        t = cfg.timings
-        sym = cfg.sym_decrypt_ms
-        self.beacon_verify = 2 * t.t_mul
-        self.epoch_refresh = 2 * t.t_mul
-        self.hello_create = 2 * t.t_mul + t.t_hmac + 2 * sym
-        self.hello_full = t.t_mul + 2 * t.t_hmac + 2 * sym
-        self.hello_fast = 2 * t.t_hmac + sym
-        self.hello_stale = 0.001
-        self.challenge_create = t.t_mul + t.t_hmac + sym
-        # vehicle: challenge verify plus the confirmation-value computation
-        self.confirm_create = t.t_mp + 5 * t.t_mul + 2 * t.t_par + t.t_hmac + sym
-        # rsu: recompute the confirmation value and compare
-        self.confirm_verify = 3 * t.t_mul + 2 * t.t_par + t.t_hmac + sym
-        self.offer_create = t.t_mul + t.t_hmac + sym
-        self.offer_verify = t.t_hmac + sym
-        self.rekey_base = t.t_mul
-        self.rekey_per_member = 2 * t.t_mul
-        self.seal = t.t_hmac + sym
-        self.derive = 2 * t.t_mul + t.t_hmac + sym
-        self.ack = t.t_hmac
 
 
 @dataclass
@@ -226,7 +197,7 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
-        self.charges = _Charges(cfg)
+        self.charges = StepCharges(cfg.timings, cfg.sym_decrypt_ms)
         self.trace = os.environ.get("SIM_LOG") == "trace"
         self.keep_samples = keep_samples
         self.samples = []
@@ -446,10 +417,7 @@ class Simulation:
         rsu.member_fid_by_sender.pop(veh.node_id, None)
         if fid not in rsu.group.members:
             return
-        cost = self.charges.rekey_base + self.charges.rekey_per_member * len(
-            rsu.group.members
-        )
-        end = self._charge(rsu, now, cost)
+        end = self._charge(rsu, now, self.charges.leave_rekey(len(rsu.group.members)))
         _, update = groupkey.handle_leave(self.params, rsu.group, fid, self.rng)
         self.rekey_count += 1
         if update is not None:
@@ -641,11 +609,7 @@ class Simulation:
         session = rsu.sessions.get(sender.node_id)
         if session is None or not auth.is_authenticated(session):
             return None
-        cost = (
-            self.charges.offer_verify
-            + self.charges.rekey_base
-            + self.charges.rekey_per_member * (len(rsu.group.members) + 1)
-        )
+        cost = self.charges.join_rekey(len(rsu.group.members))
         # a re-authentication from the same transport address supersedes
         # any membership left over from an abandoned earlier attempt
         old_fid = rsu.member_fid_by_sender.get(sender.node_id)

@@ -221,7 +221,7 @@ def test_fast_path_requires_fid_agreement():
 def test_confirmation_golden_vector():
     # psi=3, Q_R=4, Q_V=5 (so s_R=1, s_V=4), n1=2, alpha=3, beta=5
     params = get_profile("test")
-    params = params.with_ta_keys(params.g_exp(params.g, 3), params.g1_mul(3, 1))
+    params = params.with_ta_keys(3)
     rsu = NodeCredentials(
         tid=b"r", role="rsu", q_u=4, s_u=1, sk=7, pk=params.g_exp(params.g, 7),
         loc=(0, 0),

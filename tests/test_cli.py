@@ -162,3 +162,23 @@ def test_codec_dump_rejects_a_width_below_one(tmp_path, capsys):
 def test_usage_error_is_nonzero(capsys):
     code, out, err = run(capsys, "no-such-command")
     assert code == 1
+
+
+def test_simulate_rejects_malformed_config(tmp_path, capsys):
+    bad = (
+        ({"timings": {"t_foo": 1}}, "unknown timings fields: ['t_foo']"),
+        ({"timings": 4.5}, "config field timings must be dict, got 4.5"),
+        ({"n_vehicles": "10"}, "config field n_vehicles must be int, got '10'"),
+        ({"timings": {"t_par": "4.5"}}, "timings field t_par must be float"),
+        ({"rng_seed": True}, "config field rng_seed must be int"),
+        ([1, 2], "config must be a JSON object"),
+        ({"sim_time_s": float("nan")}, "sim_time_s must be in (0, inf), got nan"),
+        ({"timings": {"t_mul": float("inf")}}, "primitive timings must be nonnegative and finite"),
+    )
+    cfg_path = tmp_path / "cfg.json"
+    for cfg, message in bad:
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert out == ""

@@ -196,7 +196,7 @@ def test_kdf_table_gives_the_hmac_under_the_hashed_context():
 def test_element_width_is_cached_per_instance():
     for params in PROFILES.values():
         assert params.element_width == (params.p.bit_length() + 7) // 8
-        assert params.with_ta_keys(2, 3).element_width == params.element_width
+        assert params.with_ta_keys(3).element_width == params.element_width
     wide = SystemParams(p=2**70 + 1, q=7, g=2, gt=2)
     assert wide.element_width == 9
 
@@ -271,7 +271,7 @@ def test_unknown_profile_rejected():
 
 def test_params_json_round_trip(tp):
     assert SystemParams.from_json_dict(tp.to_json_dict()) == tp
-    with_keys = tp.with_ta_keys(8, 3)
+    with_keys = tp.with_ta_keys(3)
     assert SystemParams.from_json_dict(with_keys.to_json_dict()) == with_keys
 
 

@@ -43,9 +43,7 @@ def test_ta_init_secret_never_zero():
 def test_register_rsu_certification_values(ta):
     # with psi = 3 and Q = 4 the certification value is 3*4 mod 11 = 1
     ta.sk_ta = 3
-    ta.params = ta.params.with_ta_keys(
-        ta.params.g_exp(ta.params.g, 3), ta.params.g1_mul(3, 1)
-    )
+    ta.params = ta.params.with_ta_keys(3)
     rng = random.Random(0)
     tid = next(
         bytes([i]) for i in range(256) if ta.params.hash_to_g1(bytes([i])) == 4
@@ -195,3 +193,28 @@ def test_load_ta_rejects_invalid_params(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_ta(tmp_path)
+
+
+def test_load_ta_rejects_keys_or_credentials_that_do_not_match(tmp_path):
+    import json
+
+    ta = ta_init("small64", random.Random(20))
+    register_rsu(ta, b"rsu-c", (0, 0), random.Random(21))
+    save_ta(ta, tmp_path)
+    registry_path = tmp_path / "registry.json"
+    saved = json.loads(registry_path.read_text())
+    # a TA public key in G that is not g^sk_ta
+    data = json.loads(json.dumps(saved))
+    data["params"]["pk_ta_g"] = str(ta.params.g_exp(ta.params.g, 12345))
+    registry_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="TA public keys"):
+        load_ta(tmp_path)
+    # a certification value that is not sk_ta * Q_U
+    registry_path.write_text(json.dumps(saved))
+    keystore_path = tmp_path / "keystore.json"
+    keystore = json.loads(keystore_path.read_text())
+    secrets = keystore["nodes"][b"rsu-c".hex()]
+    secrets["s_u"] = str((int(secrets["s_u"]) + 1) % ta.params.q)
+    keystore_path.write_text(json.dumps(keystore))
+    with pytest.raises(ValueError, match="unsound certification"):
+        load_ta(tmp_path)

@@ -1,15 +1,15 @@
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
 
 from vanetgka import groupcomm
-from vanetgka.costs import PrimitiveTimings, average_delay, fastpath_cost, verification_delay
+from vanetgka.costs import PrimitiveTimings, average_delay, effective_rsu_delay
 from vanetgka.sim import (
     MetricsReport,
     ScenarioConfig,
     Simulation,
-    _Charges,
     _VehicleNode,
     run_scenario,
     sweep_density,
@@ -49,6 +49,14 @@ def test_config_validation():
         ScenarioConfig(illegal_fraction=1.5).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(bandwidth_mbps=-6).validate()
+    # a NaN or infinite end time would never stop the event loop
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sim_time_s"):
+            ScenarioConfig(sim_time_s=value).validate()
+        with pytest.raises(ValueError, match="propagation_ms"):
+            ScenarioConfig(propagation_ms=value).validate()
+        with pytest.raises(ValueError, match="primitive timings"):
+            ScenarioConfig(timings=PrimitiveTimings(t_par=value)).validate()
 
 
 def test_jitter_that_could_send_time_backwards_is_rejected():
@@ -65,7 +73,7 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     import json
 
-    path.write_text(json.dumps(cfg.to_json_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert ScenarioConfig.from_json_file(path) == cfg
 
 
@@ -252,16 +260,12 @@ def test_samples_name_the_receiver_and_the_sent_message():
     assert len(pairs) == len(set(pairs))
 
 
-def test_charges_compose_to_the_cost_model():
-    # binary-fraction timings add exactly, so both sides agree to the bit;
-    # HMAC and symmetric decryption are charges the model leaves out
-    t = PrimitiveTimings(t_par=4.5, t_mul=0.625, t_mp=0.75, t_hmac=0.0)
-    charges = _Charges(ScenarioConfig(timings=t, sym_decrypt_ms=0.0))
-    assert charges.hello_full + charges.confirm_verify == verification_delay("ours", "rsu", 1, t)
-    assert charges.confirm_create == verification_delay("ours", "obu", 1, t)
-    t_fast = dataclasses.replace(t, t_hmac=0.125)
-    fast = _Charges(ScenarioConfig(timings=t_fast, sym_decrypt_ms=0.25)).hello_fast
-    assert fast == fastpath_cost(t_fast, 0.25)
+def test_fast_path_model_is_the_simulators_charge():
+    # both sides take the default decryption charge, so n fast-path
+    # arrivals in the model cost n of the simulator's charges exactly
+    hello_fast = Simulation(FAST).charges.hello_fast
+    for n in (1, 10, 100):
+        assert effective_rsu_delay(n, 0.0, 0.0, FAST.timings) == n * hello_fast
 
 
 def test_trace_goes_to_stderr_only(monkeypatch, capsys):
