@@ -24,7 +24,7 @@ import hashlib
 import hmac as _hmac
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 from .errors import DecryptFail
 
@@ -116,6 +116,13 @@ class SystemParams:
     def with_ta_keys(self, sk_ta: Scalar) -> "SystemParams":
         """These parameters with the TA public keys of ``sk_ta``."""
         return replace(self, pk_ta_g=self.g_exp(self.g, sk_ta), pk_ta_g1=self.g1_mul(sk_ta, 1))
+
+    @cached_property
+    def _schnorr_memo(self):
+        """``schnorr_verify`` under these parameters, memoized for the last 64
+        distinct (pk, message, signature) inputs. It lives on the parameters
+        object, so each new trust authority starts with an empty memo."""
+        return lru_cache(maxsize=64)(partial(_schnorr_check, self))
 
     # -- group G ------------------------------------------------------------
 
@@ -341,6 +348,17 @@ def schnorr_sign(
 
 
 def schnorr_verify(
+    params: SystemParams, pk: GElem, message: bytes, sig: tuple[Scalar, Scalar]
+) -> bool:
+    """Whether ``sig`` signs ``message`` under ``pk``.
+
+    A pure function of public values, memoized per parameter set: in a key
+    agreement every member checks the same commits and responses, and every
+    vehicle checks the same beacon signatures."""
+    return params._schnorr_memo(pk, message, tuple(sig))
+
+
+def _schnorr_check(
     params: SystemParams, pk: GElem, message: bytes, sig: tuple[Scalar, Scalar]
 ) -> bool:
     c, s = sig

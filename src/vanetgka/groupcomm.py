@@ -147,7 +147,9 @@ def rsu_open_directory_request(
 def rsu_serve_directory(
     params: SystemParams, state: GroupState, rng: random.Random
 ) -> wire.DirectoryListing:
-    shares = tuple((rec.blinded, rec.fid) for rec in state.members.values())
+    shares = tuple(
+        (params.g_exp(rec.share_base, state.gamma), rec.fid) for rec in state.members.values()
+    )
     return Channel.derive(state.gk, b"gk").seal(
         params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch
     )

@@ -7,11 +7,19 @@ forms
     GK = g^gamma * prod_i g^(lambda_i * gamma)
 
 A member recovers g^gamma from its own blinded share by exponentiating
-with lambda_i^-1 mod q, then multiplies the share product back in.
-Join rekeys announce the new GK to existing members under the previous
-GK (so newcomers cannot read history); leave rekeys broadcast the
-remaining members' blinded shares so the departed vehicle, which only
-ever knew its own lambda, cannot recover the new g^gamma.
+with lambda_i^-1 mod q, then multiplies the share product back in.  The
+RSU keeps only the share bases; it computes the share product as
+(prod_i g^lambda_i)^gamma, and a blinded share where it is sent.
+
+A join seals the joiner's blinded share and the product on the joiner's
+channel, and announces the new GK to the existing members under the
+previous GK (so newcomers cannot read history): three exponentiations
+whatever the group size.  A leave broadcasts every remaining member's
+blinded share and the product under the previous GK, so the departed
+vehicle, which only ever knew its own lambda, cannot recover the new
+g^gamma; that is one exponentiation per remaining member.  Both draw the
+nonces of the seals a full rekey (``rsu_rekey``) would add, so runs keep
+their rng stream.
 
 Updated group keys travel to neighbor RSUs encrypted under the
 RSU-to-RSU session key; the receiving side keeps a short per-source
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .auth import AuthSession, is_authenticated
-from .crypto import GElem, Scalar, SystemParams, rand_zq_star
+from .crypto import SYM_NONCE_LEN, GElem, Scalar, SystemParams, rand_zq_star
 from .errors import DuplicateIdentity, FidAbsent, MacFail, StateError, UnknownIdentity
 from .wire import Channel
 
@@ -42,8 +50,7 @@ class MemberRecord:
 
     fid: bytes
     n1: Scalar  # authenticated-channel nonce
-    share_base: GElem  # g^lambda
-    blinded: GElem = 0  # g^(lambda * gamma) for the current gamma
+    share_base: GElem  # g^lambda; its blinded share is g^(lambda * gamma)
 
 
 @dataclass
@@ -71,7 +78,7 @@ class MemberState:
 class RekeyResult:
     """What a rekey sends; the new epoch and key are in the ``GroupState``."""
 
-    share_updates: dict[bytes, wire.ShareUpdate]  # fid -> per-member material
+    share_updates: dict[bytes, wire.ShareUpdate]  # fid -> per-member material, as sent
     notice: wire.GroupKeyNotice | None  # new gk under the previous gk
 
 
@@ -107,33 +114,64 @@ def _open_offer(params: SystemParams, session: AuthSession, offer: wire.ShareOff
 # ---------------------------------------------------------------------------
 
 
-def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> RekeyResult:
-    """Fresh gamma, new blinded shares, new GK, per-member updates."""
-    if not state.members:
-        raise StateError("cannot rekey an empty group")
-    gamma = rand_zq_star(rng, params.q)
-    for rec in state.members.values():
-        rec.blinded = params.g_exp(rec.share_base, gamma)
-    product = params.g_prod(rec.blinded for rec in state.members.values())
-    new_gk = params.g_mul(params.g_exp(params.g, gamma), product)
+def _new_epoch(
+    params: SystemParams, state: GroupState, rng: random.Random
+) -> tuple[GElem | None, GElem]:
+    """Draw a fresh gamma and install the group key it gives.
 
+    Returns the previous key and the share product prod_i g^(lambda_i*gamma),
+    computed as (prod_i g^lambda_i)^gamma with one exponentiation."""
+    gamma = rand_zq_star(rng, params.q)
+    bases = params.g_prod(rec.share_base for rec in state.members.values())
+    product = params.g_exp(bases, gamma)
     old_gk = state.gk
     state.gamma = gamma
-    state.gk = new_gk
+    state.gk = params.g_mul(params.g_exp(params.g, gamma), product)
     state.epoch += 1
+    return old_gk, product
 
-    w = params.element_width
+
+def _share_update(
+    params: SystemParams, state: GroupState, rec: MemberRecord, product: GElem, rng: random.Random
+) -> wire.ShareUpdate:
+    blinded = params.g_exp(rec.share_base, state.gamma)
+    return Channel.derive(rec.n1, b"n1").seal(
+        params.element_width, wire.ShareUpdate, (blinded, product), rng, state.epoch
+    )
+
+
+def _notice(
+    params: SystemParams, state: GroupState, old_gk: GElem, rng: random.Random
+) -> wire.GroupKeyNotice:
+    return Channel.derive(old_gk, b"gk").seal(
+        params.element_width, wire.GroupKeyNotice, (state.gk,), rng, state.epoch
+    )
+
+
+def _draw_unsent_nonces(rng: random.Random, count: int) -> None:
+    """Draw the nonces of ``count`` seals that are not made.
+
+    A join sends only the joiner's update and the notice, and a leave only
+    its ``LeaveUpdate``; a full rekey seals an update for every member and a
+    notice. Drawing the nonces of the seals left out keeps the rng stream,
+    and so every simulator report, byte-identical to sealing them all, until
+    the group-key desync fix (ROADMAP item 1) re-pins the reports and deletes
+    these draws."""
+    for _ in range(count):
+        rng.randbytes(SYM_NONCE_LEN)
+
+
+def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> RekeyResult:
+    """Full rekey: fresh gamma, new GK, an update for every member, and a
+    notice under the previous GK if there was one."""
+    if not state.members:
+        raise StateError("cannot rekey an empty group")
+    old_gk, product = _new_epoch(params, state, rng)
     updates = {
-        fid: Channel.derive(rec.n1, b"n1").seal(
-            w, wire.ShareUpdate, (rec.blinded, product), rng, state.epoch
-        )
+        fid: _share_update(params, state, rec, product, rng)
         for fid, rec in state.members.items()
     }
-    notice = None
-    if old_gk is not None:
-        notice = Channel.derive(old_gk, b"gk").seal(
-            w, wire.GroupKeyNotice, (new_gk,), rng, state.epoch
-        )
+    notice = None if old_gk is None else _notice(params, state, old_gk, rng)
     return RekeyResult(share_updates=updates, notice=notice)
 
 
@@ -144,26 +182,32 @@ def handle_join(
     offer: wire.ShareOffer,
     rng: random.Random,
 ) -> RekeyResult:
-    """Admit an authenticated vehicle and rekey the group."""
+    """Admit an authenticated vehicle and rekey the group: three
+    exponentiations whatever the group size, and only the joiner's update
+    and the notice to the existing members are sealed."""
     if not is_authenticated(session):
         raise StateError("join requires an authenticated session")
     share_base = _open_offer(params, session, offer)
     if session.fid in state.members:
         raise DuplicateIdentity("pseudonym already in the group")
-    state.members[session.fid] = MemberRecord(
-        fid=session.fid, n1=session.n1, share_base=share_base
-    )
-    return rsu_rekey(params, state, rng)
+    joiner = MemberRecord(fid=session.fid, n1=session.n1, share_base=share_base)
+    state.members[session.fid] = joiner
+    old_gk, product = _new_epoch(params, state, rng)
+    # the joiner is the last member: the others' nonces come before its own
+    _draw_unsent_nonces(rng, len(state.members) - 1)
+    update = _share_update(params, state, joiner, product, rng)
+    notice = None if old_gk is None else _notice(params, state, old_gk, rng)
+    return RekeyResult(share_updates={session.fid: update}, notice=notice)
 
 
 def handle_leave(
     params: SystemParams, state: GroupState, fid: bytes, rng: random.Random
 ) -> tuple[RekeyResult, wire.LeaveUpdate | None]:
     """Evict a member, rekey, and broadcast the remaining shares under the
-    old group key."""
+    old group key. The ``LeaveUpdate`` is all a leave sends, so the
+    ``RekeyResult`` is empty."""
     if fid not in state.members:
         raise UnknownIdentity("pseudonym not in the group")
-    old_gk = state.gk
     del state.members[fid]
     if not state.members:
         # group emptied out: drop the key material, nothing to broadcast
@@ -171,13 +215,16 @@ def handle_leave(
         state.gamma = 0
         state.epoch += 1
         return RekeyResult({}, None), None
-    result = rsu_rekey(params, state, rng)
-    product = params.g_prod(rec.blinded for rec in state.members.values())
-    shares = tuple((rec.blinded, rec.fid) for rec in state.members.values())
+    old_gk, product = _new_epoch(params, state, rng)
+    # one nonce per member update, then the notice's
+    _draw_unsent_nonces(rng, len(state.members) + 1)
+    shares = tuple(
+        (params.g_exp(rec.share_base, state.gamma), rec.fid) for rec in state.members.values()
+    )
     update = Channel.derive(old_gk, b"gk").seal(
         params.element_width, wire.LeaveUpdate, (shares, product), rng, state.epoch
     )
-    return result, update
+    return RekeyResult({}, None), update
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ channel, label ``n1``), the group key (group traffic, ``gk``) or the RSU-to-RSU
 session key (group-key transfer, ``sk``). The MAC covers ``mac_input``, the
 message's encoding with its final 16 bytes zeroed. ``Channel.seal`` takes the
 body's values and ``Channel.open`` returns them; a body that is not exactly
-its ``BODY`` raises ``DecryptFail``.
+its ``BODY`` raises ``DecryptFail``. Every receiver of a group message opens it
+under the same channel, so ``open`` memoizes its outcome, success or failure,
+for the last 16 distinct (channel, width, message) inputs.
 """
 
 from __future__ import annotations
@@ -510,9 +512,33 @@ class Channel(NamedTuple):
 
     def open(self, element_width: int, msg: WireMessage) -> tuple:
         """Check the MAC, decrypt ``msg.ct`` and return its ``BODY`` values;
-        DecryptFail if the plaintext does not frame exactly."""
-        self.check(element_width, msg)
-        return unpack(msg.BODY, sym_decrypt(self.enc_key, msg.ct), element_width)
+        DecryptFail if the plaintext does not frame exactly.
+
+        A rejection is raised as a new exception on every call, with the
+        class and text of the first check of this channel and message."""
+        body, error = _open_outcome(self, element_width, msg)
+        if error is not None:
+            cls, text = error
+            raise cls(text)
+        return body
+
+
+@lru_cache(maxsize=16)
+def _open_outcome(channel: Channel, element_width: int, msg: WireMessage) -> tuple:
+    """``(body, None)``, or ``(None, (error class, message))`` for a rejection.
+
+    Memoized by value: all receivers of one send open it back to back, so the
+    ones under the same key share one MAC check and one decryption, and those
+    under the same stale key share one MAC failure. Sixteen entries outlast
+    the opens of one send, and later sends overwrite them long before a run
+    that replays the same secrets could reuse them. A failure is stored as its
+    class and text, not as an exception, whose traceback would grow with every
+    raise."""
+    try:
+        channel.check(element_width, msg)
+        return unpack(msg.BODY, sym_decrypt(channel.enc_key, msg.ct), element_width), None
+    except (MacFail, DecryptFail) as e:
+        return None, (type(e), str(e))
 
 
 def describe(msg: WireMessage) -> str:

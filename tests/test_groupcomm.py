@@ -144,7 +144,7 @@ def test_directory_lists_every_member(group):
     directory = open_directory(params, mstates[0].gk, listing)
     assert set(directory) == {ms.fid for ms in mstates}
     for ms in mstates:
-        assert directory[ms.fid] == state.members[ms.fid].blinded
+        assert directory[ms.fid] == params.g_exp(params.g, ms.lam * state.gamma)
     # outsider cannot read it
     with pytest.raises(MacFail):
         open_directory(params, params.g_exp(params.g, 1234), listing)
@@ -220,7 +220,7 @@ def test_peer_message_confidential_separation(group):
 def test_directory_share_outside_group_rejected(group):
     params, state, mstates = group
     channel = wire.Channel.derive(state.gk, b"gk")
-    honest = (state.members[fid_of(1)].blinded, fid_of(1))
+    honest = (params.g_exp(state.members[fid_of(1)].share_base, state.gamma), fid_of(1))
     rng = random.Random(14)
     for bad in (0, params.p, 256**params.element_width - 1):
         shares = ((bad, fid_of(0)), honest)

@@ -100,7 +100,7 @@ def test_rekey_two_members_golden_vector():
     params = get_profile("test")
     state, mstates, result = make_group(params, [3, 5], [2])
     recs = list(state.members.values())
-    assert [r.blinded for r in recs] == [5, 11]
+    assert [params.g_exp(r.share_base, state.gamma) for r in recs] == [5, 11]
     assert state.gk == 10
     assert state.epoch == 1
 
