@@ -8,18 +8,18 @@ forms
 
 A member recovers g^gamma from its own blinded share by exponentiating
 with lambda_i^-1 mod q, then multiplies the share product back in.  The
-RSU keeps only the share bases; it computes the share product as
-(prod_i g^lambda_i)^gamma, and a blinded share where it is sent.
+RSU keeps only the share bases, and computes a blinded share where it
+is sent.
 
 A join seals the joiner's blinded share and the product on the joiner's
 channel, and announces the new GK to the existing members under the
-previous GK (so newcomers cannot read history): three exponentiations
-whatever the group size.  A leave broadcasts every remaining member's
-blinded share and the product under the previous GK, so the departed
-vehicle, which only ever knew its own lambda, cannot recover the new
-g^gamma; that is one exponentiation per remaining member.  Both draw the
-nonces of the seals a full rekey (``rsu_rekey``) would add, so runs keep
-their rng stream.
+previous GK (so newcomers cannot read history).  It computes the product
+as (prod_i g^lambda_i)^gamma: three exponentiations whatever the group
+size.  A leave broadcasts every remaining member's blinded share and
+their product under the previous GK, so the departed vehicle, which only
+ever knew its own lambda, cannot recover the new g^gamma: one
+exponentiation per remaining member.  Both draw the nonces of the seals
+a full rekey (``rsu_rekey``) would add, so runs keep their rng stream.
 
 Updated group keys travel to neighbor RSUs encrypted under the
 RSU-to-RSU session key; the receiving side keeps a short per-source
@@ -115,26 +115,25 @@ def _open_offer(params: SystemParams, session: AuthSession, offer: wire.ShareOff
 
 
 def _new_epoch(
-    params: SystemParams, state: GroupState, rng: random.Random
-) -> tuple[GElem | None, GElem]:
-    """Draw a fresh gamma and install the group key it gives.
-
-    Returns the previous key and the share product prod_i g^(lambda_i*gamma),
-    computed as (prod_i g^lambda_i)^gamma with one exponentiation."""
-    gamma = rand_zq_star(rng, params.q)
-    bases = params.g_prod(rec.share_base for rec in state.members.values())
-    product = params.g_exp(bases, gamma)
+    params: SystemParams, state: GroupState, gamma: Scalar, product: GElem
+) -> GElem | None:
+    """Install ``gamma`` and the group key it gives with ``product``, the
+    share product prod_i g^(lambda_i * gamma); returns the previous key."""
     old_gk = state.gk
     state.gamma = gamma
     state.gk = params.g_mul(params.g_exp(params.g, gamma), product)
     state.epoch += 1
-    return old_gk, product
+    return old_gk
 
 
 def _share_update(
-    params: SystemParams, state: GroupState, rec: MemberRecord, product: GElem, rng: random.Random
+    params: SystemParams,
+    state: GroupState,
+    rec: MemberRecord,
+    blinded: GElem,
+    product: GElem,
+    rng: random.Random,
 ) -> wire.ShareUpdate:
-    blinded = params.g_exp(rec.share_base, state.gamma)
     return Channel.derive(rec.n1, b"n1").seal(
         params.element_width, wire.ShareUpdate, (blinded, product), rng, state.epoch
     )
@@ -166,9 +165,12 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     notice under the previous GK if there was one."""
     if not state.members:
         raise StateError("cannot rekey an empty group")
-    old_gk, product = _new_epoch(params, state, rng)
+    gamma = rand_zq_star(rng, params.q)
+    blinded = {fid: params.g_exp(rec.share_base, gamma) for fid, rec in state.members.items()}
+    product = params.g_prod(blinded.values())
+    old_gk = _new_epoch(params, state, gamma, product)
     updates = {
-        fid: _share_update(params, state, rec, product, rng)
+        fid: _share_update(params, state, rec, blinded[fid], product, rng)
         for fid, rec in state.members.items()
     }
     notice = None if old_gk is None else _notice(params, state, old_gk, rng)
@@ -192,10 +194,14 @@ def handle_join(
         raise DuplicateIdentity("pseudonym already in the group")
     joiner = MemberRecord(fid=session.fid, n1=session.n1, share_base=share_base)
     state.members[session.fid] = joiner
-    old_gk, product = _new_epoch(params, state, rng)
+    gamma = rand_zq_star(rng, params.q)
+    # (prod_i g^lambda_i)^gamma: one exponentiation, not one per member
+    bases = params.g_prod(rec.share_base for rec in state.members.values())
+    product = params.g_exp(bases, gamma)
+    old_gk = _new_epoch(params, state, gamma, product)
     # the joiner is the last member: the others' nonces come before its own
     _draw_unsent_nonces(rng, len(state.members) - 1)
-    update = _share_update(params, state, joiner, product, rng)
+    update = _share_update(params, state, joiner, params.g_exp(share_base, gamma), product, rng)
     notice = None if old_gk is None else _notice(params, state, old_gk, rng)
     return RekeyResult(share_updates={session.fid: update}, notice=notice)
 
@@ -215,12 +221,14 @@ def handle_leave(
         state.gamma = 0
         state.epoch += 1
         return RekeyResult({}, None), None
-    old_gk, product = _new_epoch(params, state, rng)
+    gamma = rand_zq_star(rng, params.q)
+    shares = tuple(
+        (params.g_exp(rec.share_base, gamma), rec.fid) for rec in state.members.values()
+    )
+    product = params.g_prod(blinded for blinded, _ in shares)
+    old_gk = _new_epoch(params, state, gamma, product)
     # one nonce per member update, then the notice's
     _draw_unsent_nonces(rng, len(state.members) + 1)
-    shares = tuple(
-        (params.g_exp(rec.share_base, state.gamma), rec.fid) for rec in state.members.values()
-    )
     update = Channel.derive(old_gk, b"gk").seal(
         params.element_width, wire.LeaveUpdate, (shares, product), rng, state.epoch
     )

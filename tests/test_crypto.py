@@ -294,6 +294,23 @@ def test_schnorr_sign_verify():
     assert not schnorr_verify(params, params.g_exp(params.g, sk + 1), b"hello", sig)
 
 
+def test_schnorr_memo_still_rejects_near_misses():
+    params = get_profile("small64").with_ta_keys(11)
+    rng = random.Random(8)
+    sk = rand_zq_star(rng, params.q)
+    pk = params.g_exp(params.g, sk)
+    message = b"beacon bytes"
+    c, s = schnorr_sign(params, sk, message, rng)
+    for _ in range(2):  # the second pass from the memo
+        assert schnorr_verify(params, pk, message, (c, s))
+        assert not schnorr_verify(params, pk, bytes([message[0] ^ 1]) + message[1:], (c, s))
+        assert not schnorr_verify(params, pk, message, (c, (s + 1) % params.q))
+    memo = params._schnorr_memo.cache_info()
+    assert (memo.hits, memo.misses, memo.maxsize) == (3, 3, 64)
+    # a new trust authority starts with an empty memo
+    assert params.with_ta_keys(12)._schnorr_memo.cache_info().currsize == 0
+
+
 def test_schnorr_forgery_rejected():
     params = get_profile("small64")
     rng = random.Random(7)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vanetgka import wire
+from vanetgka.auth import AuthSession, AuthState
 from vanetgka.crypto import get_profile, hmac_tag, kdf
 from vanetgka.errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
 from vanetgka.groupcomm import (
@@ -25,7 +26,10 @@ from vanetgka.groupkey import (
     GroupState,
     MemberRecord,
     MemberState,
+    handle_join,
+    member_apply_notice,
     member_derive,
+    member_offer,
     rsu_rekey,
 )
 from scripted import ScriptedRng
@@ -148,6 +152,29 @@ def test_directory_lists_every_member(group):
     # outsider cannot read it
     with pytest.raises(MacFail):
         open_directory(params, params.g_exp(params.g, 1234), listing)
+
+
+def test_directory_of_a_group_formed_by_joins_only():
+    """Every join draws a new gamma; the directory lists each member's share
+    blinded by the current one, so members still agree on pairwise keys."""
+    params = get_profile("small64")
+    rng = random.Random(15)
+    state = GroupState()
+    members = []
+    for i in range(4):
+        session = AuthSession(state=AuthState.CONFIRMED, fid=fid_of(i), pk_v=2, n1=100 + i)
+        mstate, offer = member_offer(params, session, rng)
+        result = handle_join(params, state, session, offer, rng)
+        member_derive(params, mstate, result.share_updates[mstate.fid])
+        for m in members:
+            member_apply_notice(params, m, result.notice)
+        members.append(mstate)
+    listing = rsu_serve_directory(params, state, rng)
+    directory = open_directory(params, members[0].gk, listing)
+    assert directory == {m.fid: params.g_exp(params.g, m.lam * state.gamma) for m in members}
+    ch_01 = derive_vvk(params, members[0], fid_of(1), directory, listing.epoch)
+    ch_10 = derive_vvk(params, members[1], fid_of(0), directory, listing.epoch)
+    assert ch_01.vvk == ch_10.vvk
 
 
 # --- pairwise channel ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 import random
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
 
 from vanetgka import wire
 from vanetgka.auth import AuthSession, AuthState
-from vanetgka.crypto import get_profile
+from vanetgka.crypto import SystemParams, get_profile
 from vanetgka.errors import (
     DecryptFail,
     DuplicateIdentity,
@@ -19,6 +20,7 @@ from vanetgka.groupkey import (
     MemberRecord,
     MemberState,
     NeighborGkStore,
+    RekeyResult,
     handle_join,
     handle_leave,
     member_apply_notice,
@@ -180,6 +182,89 @@ def test_join_flow_new_and_existing_members_agree():
     # existing members pick the new key from the notice under the old key
     for ms in mstates:
         assert member_apply_notice(params, ms, join_result.notice) == state.gk
+
+
+def group_of(params, size):
+    return make_group(params, range(3, 3 + size), [])[0] if size else GroupState()
+
+
+def encode(params, msg):
+    return wire.encode_message(msg, params.element_width)
+
+
+@pytest.mark.parametrize("size", [0, 1, 5])
+def test_join_sends_what_a_full_rekey_seals(size):
+    """Oracle: the joiner's update and the notice of ``handle_join`` are
+    the bytes ``rsu_rekey`` seals after the same insert, from the same rng."""
+    params = get_profile("small64")
+    state = group_of(params, size)
+    session = auth_session(9, n1=999)
+    j_mstate, offer = member_offer(params, session, random.Random(1))
+    oracle = deepcopy(state)
+    oracle.members[session.fid] = MemberRecord(
+        fid=session.fid, n1=session.n1, share_base=params.g_exp(params.g, j_mstate.lam)
+    )
+    rng, oracle_rng = random.Random(2), random.Random(2)
+
+    result = handle_join(params, state, session, offer, rng)
+    expected = rsu_rekey(params, oracle, oracle_rng)
+
+    assert list(result.share_updates) == [session.fid]
+    joiner_update = result.share_updates[session.fid]
+    assert encode(params, joiner_update) == encode(params, expected.share_updates[session.fid])
+    if size:
+        assert encode(params, result.notice) == encode(params, expected.notice)
+    else:
+        assert result.notice is expected.notice is None
+    assert (state.gk, state.epoch, state.gamma) == (oracle.gk, oracle.epoch, oracle.gamma)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_leave_sends_what_a_full_rekey_and_the_leave_seal_give(size):
+    """Oracle: ``rsu_rekey`` after the removal, then the leave update sealed
+    from every member's blinded share and their product."""
+    params = get_profile("small64")
+    w = params.element_width
+    state = group_of(params, size)
+    old_gk = state.gk
+    oracle = deepcopy(state)
+    rng, oracle_rng = random.Random(3), random.Random(3)
+
+    result, update = handle_leave(params, state, fid_of(1), rng)
+    del oracle.members[fid_of(1)]
+    rsu_rekey(params, oracle, oracle_rng)
+    blinded = [params.g_exp(rec.share_base, oracle.gamma) for rec in oracle.members.values()]
+    shares = tuple(zip(blinded, oracle.members))
+    expected = wire.Channel.derive(old_gk, b"gk").seal(
+        w, wire.LeaveUpdate, (shares, params.g_prod(blinded)), oracle_rng, oracle.epoch
+    )
+
+    assert result == RekeyResult({}, None)
+    assert encode(params, update) == encode(params, expected)
+    assert (state.gk, state.epoch, state.gamma) == (oracle.gk, oracle.epoch, oracle.gamma)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_join_exponentiations_do_not_grow_with_the_group(monkeypatch):
+    params = get_profile("small64")
+    real = SystemParams.g_exp
+    counts = []
+    for size in (5, 50):
+        state = group_of(params, size)
+        session = auth_session(99, n1=999)
+        _, offer = member_offer(params, session, random.Random(4))
+        calls = []
+
+        def counted(self, a, b):
+            calls.append(b)
+            return real(self, a, b)
+
+        monkeypatch.setattr(SystemParams, "g_exp", counted)
+        handle_join(params, state, session, offer, random.Random(5))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [3, 3]
 
 
 def test_duplicate_join_rejected():

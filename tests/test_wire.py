@@ -1,5 +1,8 @@
 import random
+import traceback
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from vanetgka import wire
 from vanetgka.crypto import get_profile, kdf, sym_encrypt
-from vanetgka.errors import DecryptFail
+from vanetgka.errors import DecryptFail, MacFail
 from wiregen import random_message
 
 WIDTHS = [1, 8, 33]
@@ -141,7 +144,7 @@ def test_mac_input_raises_on_every_call_for_a_class_without_mac():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (wire.Channel.derive, wire.mac_input):
+    for cached in (wire.Channel.derive, wire.mac_input, wire._open_outcome):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
 
@@ -225,8 +228,67 @@ def test_channel_open_rejects_a_misframed_body():
     assert channel.open(8, channel.seal(8, wire.GroupKeyNotice, (5,), rng, 1)) == (5,)
     for plain in (bytes(7), bytes(9)):
         msg = channel.tag(8, wire.GroupKeyNotice, 1, sym_encrypt(channel.enc_key, plain, rng))
-        with pytest.raises(DecryptFail):
-            channel.open(8, msg)
+        for _ in range(2):  # the second from the open memo
+            with pytest.raises(DecryptFail):
+                channel.open(8, msg)
+
+
+# --- memoized open ---------------------------------------------------------------
+
+
+def count_crypto_calls(monkeypatch) -> Counter:
+    """Count the HMACs and decryptions that ``wire`` makes from now on."""
+    calls = Counter()
+    for name in ("hmac_tag", "sym_decrypt"):
+
+        def counted(*args, _real=getattr(wire, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(wire, name, counted)
+    return calls
+
+
+def group_broadcast(secret: int, seed: int) -> wire.GroupBroadcast:
+    channel = wire.Channel.derive(secret, b"gk")
+    return channel.seal(8, wire.GroupBroadcast, (bytes(42), b"payload"), random.Random(seed))
+
+
+def test_receivers_under_one_key_make_one_hmac_and_one_decryption(monkeypatch):
+    msg = group_broadcast(1001, seed=30)
+    data = wire.encode_message(msg, 8)
+    calls = count_crypto_calls(monkeypatch)
+    for _ in range(10):  # each receiver decodes its own copy
+        copy = wire.decode_message(data, 8)
+        assert wire.Channel.derive(1001, b"gk").open(8, copy) == (bytes(42), b"payload")
+    assert calls == {"hmac_tag": 1, "sym_decrypt": 1}
+
+
+def test_receivers_under_a_wrong_key_each_get_a_new_mac_fail(monkeypatch):
+    msg = group_broadcast(1002, seed=31)
+    stale = wire.Channel.derive(1003, b"gk")
+    calls = count_crypto_calls(monkeypatch)
+    errors = []
+    for _ in range(10):
+        with pytest.raises(MacFail) as info:
+            stale.open(8, msg)
+        errors.append(info.value)
+    assert calls == {"hmac_tag": 1}
+    assert len({id(e) for e in errors}) == 10
+    # a re-raised cached exception would carry a longer traceback each time
+    assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
+
+
+def test_a_forged_copy_still_fails_after_the_genuine_message_opened():
+    msg = group_broadcast(1004, seed=32)
+    channel = wire.Channel.derive(1004, b"gk")
+    assert channel.open(8, msg) == (bytes(42), b"payload")
+    flipped_mac = replace(msg, mac=bytes([msg.mac[0] ^ 1]) + msg.mac[1:])
+    flipped_ct = replace(msg, ct=msg.ct[:-1] + bytes([msg.ct[-1] ^ 1]))
+    for forged in (flipped_mac, flipped_ct):
+        with pytest.raises(MacFail):
+            channel.open(8, forged)
+    assert channel.open(8, msg) == (bytes(42), b"payload")
 
 
 def test_shares_count_beyond_the_data_rejected_before_any_entry_is_built():
