@@ -126,19 +126,6 @@ def _new_epoch(
     return old_gk
 
 
-def _share_update(
-    params: SystemParams,
-    state: GroupState,
-    rec: MemberRecord,
-    blinded: GElem,
-    product: GElem,
-    rng: random.Random,
-) -> wire.ShareUpdate:
-    return Channel.derive(rec.n1, b"n1").seal(
-        params.element_width, wire.ShareUpdate, (blinded, product), rng, state.epoch
-    )
-
-
 def _notice(
     params: SystemParams, state: GroupState, old_gk: GElem, rng: random.Random
 ) -> wire.GroupKeyNotice:
@@ -169,8 +156,11 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     blinded = {fid: params.g_exp(rec.share_base, gamma) for fid, rec in state.members.items()}
     product = params.g_prod(blinded.values())
     old_gk = _new_epoch(params, state, gamma, product)
+    w = params.element_width
     updates = {
-        fid: _share_update(params, state, rec, blinded[fid], product, rng)
+        fid: Channel.derive(rec.n1, b"n1").seal(
+            w, wire.ShareUpdate, (blinded[fid], product), rng, state.epoch
+        )
         for fid, rec in state.members.items()
     }
     notice = None if old_gk is None else _notice(params, state, old_gk, rng)
@@ -192,8 +182,9 @@ def handle_join(
     share_base = _open_offer(params, session, offer)
     if session.fid in state.members:
         raise DuplicateIdentity("pseudonym already in the group")
-    joiner = MemberRecord(fid=session.fid, n1=session.n1, share_base=share_base)
-    state.members[session.fid] = joiner
+    state.members[session.fid] = MemberRecord(
+        fid=session.fid, n1=session.n1, share_base=share_base
+    )
     gamma = rand_zq_star(rng, params.q)
     # (prod_i g^lambda_i)^gamma: one exponentiation, not one per member
     bases = params.g_prod(rec.share_base for rec in state.members.values())
@@ -201,7 +192,13 @@ def handle_join(
     old_gk = _new_epoch(params, state, gamma, product)
     # the joiner is the last member: the others' nonces come before its own
     _draw_unsent_nonces(rng, len(state.members) - 1)
-    update = _share_update(params, state, joiner, params.g_exp(share_base, gamma), product, rng)
+    update = Channel.derive(session.n1, b"n1").seal(
+        params.element_width,
+        wire.ShareUpdate,
+        (params.g_exp(share_base, gamma), product),
+        rng,
+        state.epoch,
+    )
     notice = None if old_gk is None else _notice(params, state, old_gk, rng)
     return RekeyResult(share_updates={session.fid: update}, notice=notice)
 
