@@ -77,6 +77,14 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def json_int(value: object, what: str) -> int:
+    """A JSON integer, or a string of decimal digits, as an int; any other
+    value is a ValueError naming ``what``."""
+    if type(value) is int or (type(value) is str and value.isdecimal()):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Public parameters: the group, the pairing target, and TA public keys.
@@ -209,12 +217,12 @@ class SystemParams:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SystemParams":
         params = cls(
-            p=int(d["p"]),
-            q=int(d["q"]),
-            g=int(d["g"]),
-            gt=int(d["gt"]),
-            pk_ta_g=int(d["pk_ta_g"]) if "pk_ta_g" in d else None,
-            pk_ta_g1=int(d["pk_ta_g1"]) if "pk_ta_g1" in d else None,
+            p=json_int(d["p"], "params p"),
+            q=json_int(d["q"], "params q"),
+            g=json_int(d["g"], "params g"),
+            gt=json_int(d["gt"], "params gt"),
+            pk_ta_g=json_int(d["pk_ta_g"], "params pk_ta_g") if "pk_ta_g" in d else None,
+            pk_ta_g1=json_int(d["pk_ta_g1"], "params pk_ta_g1") if "pk_ta_g1" in d else None,
         )
         if "hash_config" in d and d["hash_config"] != params.hash_config:
             raise ValueError("unsupported hash configuration")

@@ -148,7 +148,7 @@ def rsu_serve_directory(
     params: SystemParams, state: GroupState, rng: random.Random
 ) -> wire.DirectoryListing:
     shares = tuple(
-        (params.g_exp(rec.share_base, state.gamma), rec.fid) for rec in state.members.values()
+        (params.g_exp(rec.share_base, state.gamma), fid) for fid, rec in state.members.items()
     )
     return Channel.derive(state.gk, b"gk").seal(
         params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch

@@ -46,9 +46,8 @@ from .wire import Channel
 
 @dataclass
 class MemberRecord:
-    """RSU-side view of one group member."""
+    """RSU-side view of one group member, keyed by its fid in ``GroupState.members``."""
 
-    fid: bytes
     n1: Scalar  # authenticated-channel nonce
     share_base: GElem  # g^lambda; its blinded share is g^(lambda * gamma)
 
@@ -182,9 +181,7 @@ def handle_join(
     share_base = _open_offer(params, session, offer)
     if session.fid in state.members:
         raise DuplicateIdentity("pseudonym already in the group")
-    state.members[session.fid] = MemberRecord(
-        fid=session.fid, n1=session.n1, share_base=share_base
-    )
+    state.members[session.fid] = MemberRecord(n1=session.n1, share_base=share_base)
     gamma = rand_zq_star(rng, params.q)
     # (prod_i g^lambda_i)^gamma: one exponentiation, not one per member
     bases = params.g_prod(rec.share_base for rec in state.members.values())
@@ -220,7 +217,7 @@ def handle_leave(
         return RekeyResult({}, None), None
     gamma = rand_zq_star(rng, params.q)
     shares = tuple(
-        (params.g_exp(rec.share_base, gamma), rec.fid) for rec in state.members.values()
+        (params.g_exp(rec.share_base, gamma), fid) for fid, rec in state.members.items()
     )
     product = params.g_prod(blinded for blinded, _ in shares)
     old_gk = _new_epoch(params, state, gamma, product)

@@ -26,6 +26,7 @@ from .crypto import (
     Scalar,
     SystemParams,
     get_profile,
+    json_int,
     rand_zq_star,
     schnorr_sign,
     xor_bytes,
@@ -219,31 +220,49 @@ def save_ta(ta: TaState, directory: Path | str) -> None:
     (directory / "keystore.json").write_text(json.dumps(keystore, indent=2))
 
 
+def _json(value: object, kind: type, what: str):
+    """``value`` if it is a ``kind`` (dict, list or str); else a ValueError
+    naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_ta(directory: Path | str) -> TaState:
+    """The TA that ``save_ta`` wrote; a field of the wrong JSON shape or an
+    inconsistent key is a ValueError that names it."""
     directory = Path(directory)
-    registry = json.loads((directory / "registry.json").read_text())
-    keystore = json.loads((directory / "keystore.json").read_text())
-    params = SystemParams.from_json_dict(registry["params"])
-    sk_ta = int(keystore["sk_ta"])
+    registry = _json(json.loads((directory / "registry.json").read_text()), dict, "registry")
+    keystore = _json(json.loads((directory / "keystore.json").read_text()), dict, "keystore")
+    params = SystemParams.from_json_dict(_json(registry["params"], dict, "params"))
+    sk_ta = json_int(keystore["sk_ta"], "sk_ta")
     if params != params.with_ta_keys(sk_ta):
         raise ValueError("TA public keys are not g^sk_ta and sk_ta * P")
     ta = TaState(sk_ta=sk_ta, params=params)
-    for node in registry["nodes"]:
-        tid = bytes.fromhex(node["tid"])
-        secrets = keystore["nodes"][node["tid"]]
+    secrets_by_tid = _json(keystore["nodes"], dict, "keystore nodes")
+    for node in _json(registry["nodes"], list, "nodes"):
+        name = _json(_json(node, dict, "node")["tid"], str, "node tid")
+        what = f"node {name}"
+        secrets = _json(secrets_by_tid[name], dict, f"{what} secrets")
+        loc = node["loc"]
+        if loc is not None:
+            if not (isinstance(loc, list) and len(loc) == 2):
+                raise ValueError(f"{what} loc must be [x, y], got {loc!r}")
+            loc = tuple(json_int(c, f"{what} loc") for c in loc)
+        tid = bytes.fromhex(name)
         creds = NodeCredentials(
             tid=tid,
             role=node["role"],
-            q_u=int(node["q_u"]),
-            s_u=int(secrets["s_u"]),
-            sk=int(secrets["sk"]) if secrets["sk"] is not None else None,
-            pk=int(node["pk"]) if node["pk"] is not None else None,
-            loc=tuple(node["loc"]) if node["loc"] is not None else None,
+            q_u=json_int(node["q_u"], f"{what} q_u"),
+            s_u=json_int(secrets["s_u"], f"{what} s_u"),
+            sk=None if secrets["sk"] is None else json_int(secrets["sk"], f"{what} sk"),
+            pk=None if node["pk"] is None else json_int(node["pk"], f"{what} pk"),
+            loc=loc,
         )
         if not credential_sound(params, creds):
-            raise ValueError(f"node {node['tid']} has an unsound certification value")
+            raise ValueError(f"{what} has an unsound certification value")
         ta.registry[tid] = creds
         if node.get("beacon"):
-            msg = wire.decode_message(bytes.fromhex(node["beacon"]), params.element_width)
-            ta.beacons[tid] = msg
+            beacon = bytes.fromhex(_json(node["beacon"], str, f"{what} beacon"))
+            ta.beacons[tid] = wire.decode_message(beacon, params.element_width)
     return ta

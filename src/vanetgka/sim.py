@@ -9,7 +9,7 @@ reproduce paper-scale delay magnitudes on any host.
 Each node is a serial processor: work queues on a per-node busy cursor,
 and a message's verification delay includes the time it waited for the
 processor.  Transmission time is wire bytes over the configured
-bandwidth plus a fixed propagation term.
+bandwidth plus a fixed propagation term (``PROPAGATION_MS``).
 
 Scheduling is a single binary heap of ``(time_ms, seq, handler, args)``
 entries, ordered by time and then by push order; ``run()`` pops one and
@@ -63,6 +63,8 @@ from .registry import (
     ta_init,
 )
 
+PROPAGATION_MS = 0.005
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -84,8 +86,6 @@ class ScenarioConfig:
     timings: PrimitiveTimings = field(default_factory=PrimitiveTimings)
     # plumbing knobs beyond the published table
     delta_max_ms: float = 500.0
-    propagation_ms: float = 0.005
-    sym_decrypt_ms: float = SYM_DECRYPT_MS
     crypto_profile: str = "default"
 
     def validate(self) -> None:
@@ -96,7 +96,7 @@ class ScenarioConfig:
         ):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be in (0, inf), got {getattr(self, name)}")
-        for name in ("n_vehicles", "interval_variance_s", "propagation_ms", "sym_decrypt_ms"):
+        for name in ("n_vehicles", "interval_variance_s"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be in [0, inf), got {getattr(self, name)}")
         if not 0 <= self.illegal_fraction <= 1:
@@ -197,7 +197,7 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
-        self.charges = StepCharges(cfg.timings, cfg.sym_decrypt_ms)
+        self.charges = StepCharges(cfg.timings, SYM_DECRYPT_MS)
         self.trace = os.environ.get("SIM_LOG") == "trace"
         self.keep_samples = keep_samples
         self.samples = []
@@ -311,7 +311,7 @@ class Simulation:
         return node.busy_until
 
     def _tx_ms(self, nbytes: int) -> float:
-        return nbytes * 8 / (self.cfg.bandwidth_mbps * 1000.0) + self.cfg.propagation_ms
+        return nbytes * 8 / (self.cfg.bandwidth_mbps * 1000.0) + PROPAGATION_MS
 
     def _send(
         self,
@@ -435,11 +435,9 @@ class Simulation:
     def _transfer_group_key(self, rsu: _RsuNode, depart: float) -> None:
         if rsu.session_key is None:
             return
-        for other in self.rsus:
-            if other is rsu:
-                continue
-            msg = groupkey.transfer_gk(self.params, rsu.group, rsu.session_key, self.rng)
-            self._send(msg, rsu, (other,), depart, self.charges.seal)
+        msg = groupkey.transfer_gk(self.params, rsu.group, rsu.session_key, self.rng)
+        others = [other for other in self.rsus if other is not rsu]
+        self._send(msg, rsu, others, depart, self.charges.seal)
 
     # -- deliveries -------------------------------------------------------------------
 
@@ -635,8 +633,6 @@ class Simulation:
         return end
 
     def _rsu_handle_transfer(self, now, rsu, msg, sender):
-        if rsu.session_key is None:
-            return None
         end = self._charge(rsu, now, self.charges.seal)
         groupkey.receive_gk_transfer(
             self.params, rsu.neighbor_store, sender.node_id, msg, rsu.session_key

@@ -148,9 +148,7 @@ def _fresh_group(params, lams, rng):
     mstates = []
     for i, lam in enumerate(lams):
         n1 = rng.randrange(1, params.q)
-        state.members[_fid(i)] = MemberRecord(
-            fid=_fid(i), n1=n1, share_base=params.g_exp(params.g, lam)
-        )
+        state.members[_fid(i)] = MemberRecord(n1=n1, share_base=params.g_exp(params.g, lam))
         mstates.append(MemberState(fid=_fid(i), n1=n1, lam=lam))
     result = rsu_rekey(params, state, rng)
     for ms in mstates:

@@ -45,9 +45,7 @@ def make_group(params, lams, gamma_script=(), seed=0):
     mstates = []
     for i, lam in enumerate(lams):
         n1 = (i % (params.q - 1)) + 1 if params.q < 200 else 100 + i
-        state.members[fid_of(i)] = MemberRecord(
-            fid=fid_of(i), n1=n1, share_base=params.g_exp(params.g, lam)
-        )
+        state.members[fid_of(i)] = MemberRecord(n1=n1, share_base=params.g_exp(params.g, lam))
         mstates.append(MemberState(fid=fid_of(i), n1=n1, lam=lam))
     result = rsu_rekey(params, state, ScriptedRng(list(gamma_script), seed))
     for ms in mstates:

@@ -48,9 +48,7 @@ def make_group(params, lams, gamma_script, seed=0):
     mstates = []
     for i, lam in enumerate(lams):
         n1 = 100 + i if params.q > 200 else (i % (params.q - 1)) + 1
-        state.members[fid_of(i)] = MemberRecord(
-            fid=fid_of(i), n1=n1, share_base=params.g_exp(params.g, lam)
-        )
+        state.members[fid_of(i)] = MemberRecord(n1=n1, share_base=params.g_exp(params.g, lam))
         mstates.append(MemberState(fid=fid_of(i), n1=n1, lam=lam))
     result = rsu_rekey(params, state, ScriptedRng(gamma_script, seed))
     return state, mstates, result
@@ -202,7 +200,7 @@ def test_join_sends_what_a_full_rekey_seals(size):
     j_mstate, offer = member_offer(params, session, random.Random(1))
     oracle = deepcopy(state)
     oracle.members[session.fid] = MemberRecord(
-        fid=session.fid, n1=session.n1, share_base=params.g_exp(params.g, j_mstate.lam)
+        n1=session.n1, share_base=params.g_exp(params.g, j_mstate.lam)
     )
     rng, oracle_rng = random.Random(2), random.Random(2)
 

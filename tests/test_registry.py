@@ -218,3 +218,23 @@ def test_load_ta_rejects_keys_or_credentials_that_do_not_match(tmp_path):
     keystore_path.write_text(json.dumps(keystore))
     with pytest.raises(ValueError, match="unsound certification"):
         load_ta(tmp_path)
+
+
+def test_load_ta_rejects_fields_of_the_wrong_json_shape(tmp_path):
+    import json
+    import re
+
+    ta = ta_init("small64", random.Random(22))
+    register_rsu(ta, b"rsu", (0, 0), random.Random(23))
+    save_ta(ta, tmp_path)
+    path = tmp_path / "registry.json"
+    saved = json.loads(path.read_text())
+    node = saved["nodes"][0]
+    for edit, message in (
+        ({"nodes": [{**node, "loc": 5}]}, "node 727375 loc must be [x, y], got 5"),
+        ({"params": {**saved["params"], "p": [1]}}, "params p must be an integer, got [1]"),
+        ({"nodes": 5}, "nodes must be a JSON list, got 5"),
+    ):
+        path.write_text(json.dumps({**saved, **edit}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_ta(tmp_path)

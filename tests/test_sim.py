@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 
-from vanetgka import groupcomm
+from vanetgka import groupcomm, groupkey, wire
 from vanetgka.costs import PrimitiveTimings, average_delay, effective_rsu_delay
 from vanetgka.sim import (
     MetricsReport,
     ScenarioConfig,
     Simulation,
+    _RSU_HANDLERS,
     _VehicleNode,
     run_scenario,
     sweep_density,
@@ -53,8 +54,6 @@ def test_config_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="sim_time_s"):
             ScenarioConfig(sim_time_s=value).validate()
-        with pytest.raises(ValueError, match="propagation_ms"):
-            ScenarioConfig(propagation_ms=value).validate()
         with pytest.raises(ValueError, match="primitive timings"):
             ScenarioConfig(timings=PrimitiveTimings(t_par=value)).validate()
 
@@ -196,6 +195,51 @@ def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
     # in send order: one drop, then one sample per receiver that holds the key
     assert sim.drops.total() == drops + 1
     assert [s.receiver for s in sim.samples[samples:]] == [v.node_id for v in receivers[1:]]
+
+
+def test_a_group_key_transfer_is_one_send_to_every_other_rsu(monkeypatch):
+    sim = Simulation(dataclasses.replace(FAST, n_rsus=3, n_vehicles=8, rng_seed=5))
+    sealed = {}  # transfer -> the group key it carries
+    calls = []  # transfer_gk calls per _transfer_group_key call
+    sends = {}  # transfer -> (sender id, receiver ids)
+    delivered = {}  # transfer -> the ids of the RSUs it reached, in order
+
+    def counting_transfer_gk(params, state, session_key, rng):
+        msg = transfer_gk(params, state, session_key, rng)
+        calls[-1] += 1
+        sealed[msg] = state.gk
+        return msg
+
+    def counting_transfer_group_key(rsu, depart):
+        calls.append(0)
+        transfer_group_key(rsu, depart)
+
+    def recording_send(msg, sender, receivers, *args):
+        if isinstance(msg, wire.GroupKeyTransfer):
+            sends[msg] = (sender.node_id, [node.node_id for node in receivers])
+        send(msg, sender, receivers, *args)
+
+    def checking_handle_transfer(self, now, rsu, msg, sender):
+        end = handle_transfer(self, now, rsu, msg, sender)
+        assert sealed[msg] in rsu.neighbor_store.candidates()
+        delivered.setdefault(msg, []).append(rsu.node_id)
+        return end
+
+    transfer_gk = groupkey.transfer_gk
+    transfer_group_key, send = sim._transfer_group_key, sim._send
+    handle_transfer = _RSU_HANDLERS[wire.GroupKeyTransfer]
+    monkeypatch.setattr(groupkey, "transfer_gk", counting_transfer_gk)
+    monkeypatch.setitem(_RSU_HANDLERS, wire.GroupKeyTransfer, checking_handle_transfer)
+    sim._transfer_group_key, sim._send = counting_transfer_group_key, recording_send
+    sim.run()
+    assert calls and set(calls) == {1}
+    assert len(sends) == len(calls)
+    rsu_ids = [rsu.node_id for rsu in sim.rsus]
+    for sender, receivers in sends.values():
+        assert receivers == [tid for tid in rsu_ids if tid != sender]
+    assert delivered
+    for msg, reached in delivered.items():
+        assert reached == sends[msg][1]
 
 
 def test_streamed_average_matches_reference_metric():
