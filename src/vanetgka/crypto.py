@@ -13,6 +13,11 @@ DELIBERATELY INSECURE (discrete logs in G1 are trivial); a production
 deployment would swap in a real pairing behind the same ``SystemParams``
 surface.
 
+Powers of the generator g are read from a fixed-base table, one row of 256
+powers per byte of the exponent.  The entry looked up depends on the secret
+exponent, so ``g_exp`` is not constant-time; that is acceptable in this toy,
+and a real backend would bring its own fixed-base method.
+
 Symmetric primitives: a counter-mode keystream cipher built from SHA-256,
 HMAC-SHA-256 truncated to 16 bytes, and an HMAC-based KDF producing
 32-byte keys.
@@ -148,8 +153,19 @@ class SystemParams:
                 raise DecryptFail("element outside the group")
 
     def g_exp(self, a: GElem, b: Scalar) -> GElem:
-        """a^b in G; exponents reduce mod q since the group has order q."""
-        return self.fold(pow(a, b % self.q, self.p))
+        """a^b in G; exponents reduce mod q since the group has order q.
+
+        Powers of the generator g are products of one entry per byte of the
+        exponent from the shared fixed-base table; other bases use ``pow``."""
+        b %= self.q
+        if a != self.g:
+            return self.fold(pow(a, b, self.p))
+        p = self.p
+        rows = _fixed_base_table(a, p)
+        out = 1
+        for row, byte in zip(rows, b.to_bytes(len(rows), "little")):
+            out = out * row[byte] % p
+        return self.fold(out)
 
     def g_mul(self, a: GElem, b: GElem) -> GElem:
         return self.fold(a * b % self.p)
@@ -228,6 +244,23 @@ class SystemParams:
             raise ValueError("unsupported hash configuration")
         params.validate()
         return params
+
+
+# bounded: room for the three profiles and one group loaded from a file
+@lru_cache(maxsize=4)
+def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds base^(j * 256^i) mod p for j in 0..255, one row per byte
+    of q = (p - 1) / 2 (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
+    1992). One table per (base, p) serves every ``SystemParams`` of that
+    group in the process: 555 kB for the 256-bit profile."""
+    rows = []
+    for _ in range(((p >> 1).bit_length() + 7) // 8):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
 
 
 # Parameter scales.  "test" is small enough for exhaustive checks, "small64"

@@ -228,6 +228,22 @@ def _json(value: object, kind: type, what: str):
     return value
 
 
+def _check_role(params: SystemParams, creds: NodeCredentials, what: str) -> None:
+    """ValueError naming ``what`` unless the node is an RSU with a key pair
+    pk = g^sk and a location, or a vehicle with neither."""
+    held = (creds.sk, creds.pk, creds.loc)
+    if creds.role == ROLE_RSU:
+        if None in held:
+            raise ValueError(f"{what} is an rsu without its sk, pk and loc")
+        if creds.pk != params.g_exp(params.g, creds.sk):
+            raise ValueError(f"{what} pk is not g^sk")
+    elif creds.role == ROLE_VEHICLE:
+        if held != (None, None, None):
+            raise ValueError(f"{what} is a vehicle with an sk, pk or loc")
+    else:
+        raise ValueError(f"{what} role must be rsu or vehicle, got {creds.role!r}")
+
+
 def load_ta(directory: Path | str) -> TaState:
     """The TA that ``save_ta`` wrote; a field of the wrong JSON shape or an
     inconsistent key is a ValueError that names it."""
@@ -259,6 +275,7 @@ def load_ta(directory: Path | str) -> TaState:
             pk=None if node["pk"] is None else json_int(node["pk"], f"{what} pk"),
             loc=loc,
         )
+        _check_role(params, creds, what)
         if not credential_sound(params, creds):
             raise ValueError(f"{what} has an unsound certification value")
         ta.registry[tid] = creds

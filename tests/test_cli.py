@@ -197,3 +197,18 @@ def test_ta_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys):
     assert code == 1
     assert err == f"error: node {b'rsu-1'.hex()} loc must be [x, y], got 5\n"
     assert out == ""
+
+
+def test_ta_file_with_a_bad_node_role_exits_1(tmp_path, capsys):
+    state = tmp_path / "ta"
+    run(capsys, "ta", "init", "--profile", "small64", "--state-dir", str(state))
+    run(capsys, "ta", "register-rsu", "--state-dir", str(state), "--tid", "rsu-1",
+        "--loc", "0,0", "--seed", "2")
+    registry = json.loads((state / "registry.json").read_text())
+    registry["nodes"][0]["role"] = "vehicle"
+    (state / "registry.json").write_text(json.dumps(registry))
+    code, out, err = run(capsys, "ta", "register-vehicle", "--state-dir", str(state),
+                         "--tid", "veh-1")
+    assert code == 1
+    assert err == f"error: node {b'rsu-1'.hex()} is a vehicle with an sk, pk or loc\n"
+    assert out == ""

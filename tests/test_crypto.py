@@ -3,6 +3,8 @@ import hmac
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vanetgka.crypto import (
     MAC_LEN,
@@ -17,8 +19,10 @@ from vanetgka.crypto import (
     schnorr_verify,
     sym_decrypt,
     sym_encrypt,
+    _fixed_base_table,
 )
 from vanetgka.errors import DecryptFail
+from vanetgka.registry import ta_init
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,73 @@ def test_exponent_law_exhaustive(tp):
 def test_inverse(tp):
     for a in range(1, 12):
         assert tp.g_mul(a, tp.g_inv(a)) == 1
+
+
+# --- the fixed-base table for g -------------------------------------------------
+
+
+def reference_exp(params: SystemParams, a: int, b: int) -> int:
+    """a^b in G by ``pow``, without the table."""
+    return params.fold(pow(a, b % params.q, params.p))
+
+
+def test_g_exp_of_g_matches_pow_exhaustively(tp):
+    for b in range(-2 * tp.q, 3 * tp.q):
+        assert tp.g_exp(tp.g, b) == reference_exp(tp, tp.g, b)
+
+
+@pytest.mark.parametrize("name", ["small64", "default"])
+def test_g_exp_of_g_matches_pow_at_the_edges(name):
+    params = get_profile(name)
+    q = params.q
+    edges = [0, 1, q - 1, q, q + 1, -1]
+    for k in range(1, (q.bit_length() + 7) // 8 + 2):
+        edges += [2 ** (8 * k), 2 ** (8 * k) - 1]
+    for b in edges:
+        assert params.g_exp(params.g, b) == reference_exp(params, params.g, b)
+
+
+@given(st.sampled_from(["small64", "default"]), st.integers(-(2**300), 2**300))
+def test_g_exp_of_g_matches_pow(name, b):
+    params = get_profile(name)
+    assert params.g_exp(params.g, b) == reference_exp(params, params.g, b)
+
+
+@given(st.sampled_from(["small64", "default"]), st.integers(0, 2**260), st.integers(0, 2**260))
+def test_pair_matches_pow(name, a, b):
+    params = get_profile(name)
+    assert params.pair(a, b) == reference_exp(params, params.gt, a * b)
+
+
+def test_pair_and_other_bases_match_pow_exhaustively(tp):
+    for a in range(1, tp.q + 1):
+        for b in range(-tp.q, 2 * tp.q):
+            assert tp.g_exp(a, b) == reference_exp(tp, a, b)
+            assert tp.pair(a % tp.q, b) == reference_exp(tp, tp.gt, a * b)
+
+
+@given(st.sampled_from(["small64", "default"]), st.integers(2, 2**260), st.integers(0, 2**260))
+def test_other_bases_match_pow(name, a, b):
+    params = get_profile(name)
+    a = a % params.q + 1
+    assert params.g_exp(a, b) == reference_exp(params, a, b)
+
+
+def test_groups_with_the_same_generator_have_their_own_tables():
+    small, default = get_profile("small64"), get_profile("default")
+    assert small.g == default.g
+    b = 2**70 + 12345
+    for params in (small, default, small):
+        assert params.g_exp(params.g, b) == reference_exp(params, params.g, b)
+
+
+def test_trust_authorities_of_one_group_share_one_table():
+    _fixed_base_table.cache_clear()
+    first, second = (ta_init("default", random.Random(seed)) for seed in (1, 2))
+    assert first.params.pk_ta_g != second.params.pk_ta_g
+    info = _fixed_base_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None
 
 
 # --- pairing ------------------------------------------------------------------

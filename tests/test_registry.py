@@ -238,3 +238,37 @@ def test_load_ta_rejects_fields_of_the_wrong_json_shape(tmp_path):
         path.write_text(json.dumps({**saved, **edit}))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_ta(tmp_path)
+
+
+def test_load_ta_rejects_a_node_whose_role_does_not_match_its_keys(tmp_path):
+    import json
+    import re
+
+    ta = ta_init("small64", random.Random(24))
+    creds, _ = register_rsu(ta, b"rsu", (0, 0), random.Random(25))
+    register_vehicle(ta, b"veh")
+    save_ta(ta, tmp_path)
+    path = tmp_path / "registry.json"
+    saved = json.loads(path.read_text())
+    rsu, veh = saved["nodes"]
+    other_pk = str(ta.params.g_exp(ta.params.g, creds.sk + 1))
+    for nodes, message in (
+        ([{**rsu, "role": 5}, veh], "node 727375 role must be rsu or vehicle, got 5"),
+        ([{**rsu, "role": "vehicle"}, veh], "node 727375 is a vehicle with an sk, pk or loc"),
+        ([{**rsu, "loc": None}, veh], "node 727375 is an rsu without its sk, pk and loc"),
+        ([{**rsu, "pk": None}, veh], "node 727375 is an rsu without its sk, pk and loc"),
+        ([rsu, {**veh, "role": "rsu"}], "node 766568 is an rsu without its sk, pk and loc"),
+        ([rsu, {**veh, "loc": [0, 0]}], "node 766568 is a vehicle with an sk, pk or loc"),
+        ([{**rsu, "pk": other_pk}, veh], "node 727375 pk is not g^sk"),
+    ):
+        path.write_text(json.dumps({**saved, "nodes": nodes}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_ta(tmp_path)
+    # an RSU whose secret key is missing from the keystore
+    path.write_text(json.dumps(saved))
+    keystore_path = tmp_path / "keystore.json"
+    keystore = json.loads(keystore_path.read_text())
+    keystore["nodes"][b"rsu".hex()]["sk"] = None
+    keystore_path.write_text(json.dumps(keystore))
+    with pytest.raises(ValueError, match="node 727375 is an rsu without its sk, pk and loc"):
+        load_ta(tmp_path)

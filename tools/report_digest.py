@@ -1,17 +1,23 @@
-"""Print one SHA-256 per simulator scenario and per cost table.
+"""Print one SHA-256 per simulator scenario, per cost table and for one
+protocol-engine round.
 
 From the root of a checkout:
 
     python3 tools/report_digest.py > digests.txt
 
 Run it in two checkouts and compare the files: equal output means the two
-trees give the same simulator results on every scenario below and the same
-``vanetgka cost table`` CSV at two timing sets.  A scenario's digest covers
+trees give the same simulator results on every scenario below, the same
+``vanetgka cost table`` CSV at two timing sets and the same protocol-engine
+outputs.  A scenario's digest covers
 ``repr(MetricsReport)``, the sent and delivered counts, the sorted ``drops``,
 ``incomplete_associations``, ``total_overhead_bytes`` and the kept
 ``DelaySample`` list.  The eleven scenarios are the default one at
 n = 10, 20, 40, 80, the highway-churn benchmark scenario, and six small64
 runs, three of them with timestamp windows short enough to drop stale hellos.
+The protocol-engine line hashes ``repr`` of the ``Outcome.digest`` of one
+round of the ``rsu-admission`` benchmark workload (``perfbench/workloads.py``,
+imported read-only) built with seed 1: every join's and leave's group key,
+every rejection and the group-key transfer.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from vanetgka.cli import main as cli_main  # noqa: E402
 from vanetgka.sim import ScenarioConfig, Simulation  # noqa: E402
+from workloads import RsuAdmission  # noqa: E402
 
 FAST = ScenarioConfig(crypto_profile="small64", n_vehicles=6, n_rsus=2, rng_seed=3)
 
@@ -88,11 +95,18 @@ def cost_table_digest(args: list[str]) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def engine_digest(seed: int) -> str:
+    workload = RsuAdmission()
+    outcome = workload.play(workload.build(seed))
+    return hashlib.sha256(repr(outcome.digest).encode()).hexdigest()
+
+
 def main() -> int:
     for name, cfg in SCENARIOS.items():
         print(f"{name} {scenario_digest(cfg)}", flush=True)
     for name, args in COST_TABLES.items():
         print(f"{name} {cost_table_digest(args)}", flush=True)
+    print(f"rsu-admission-seed1 {engine_digest(1)}", flush=True)
     return 0
 
 
