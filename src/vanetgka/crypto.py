@@ -13,10 +13,20 @@ DELIBERATELY INSECURE (discrete logs in G1 are trivial); a production
 deployment would swap in a real pairing behind the same ``SystemParams``
 surface.
 
-Powers of the generator g are read from a fixed-base table, one row of 256
-powers per byte of the exponent.  The entry looked up depends on the secret
-exponent, so ``g_exp`` is not constant-time; that is acceptable in this toy,
-and a real backend would bring its own fixed-base method.
+Exponentiations of a base that recurs have two fixed-base forms:
+
+  * the generator g: a table with one row of 256 powers per byte of the
+    exponent (``_fixed_base_table``), 555 kB at 256 bits, shared by the
+    whole process; an exponentiation is 32 multiplications;
+  * any other long-lived base, such as a group member's share base: its
+    powers a^(16^j), one per 4-bit digit of q (``SystemParams.base_powers``),
+    about 4.4 kB at 256 bits, evaluated by Yao's bucket method in at most 94
+    multiplications.  The caller keeps them, one per base, so they must stay
+    small.
+
+The entries used depend on the secret exponent, so ``g_exp`` is not
+constant-time; that is acceptable in this toy, and a real backend would
+bring its own fixed-base method.
 
 Symmetric primitives: a counter-mode keystream cipher built from SHA-256,
 HMAC-SHA-256 truncated to 16 bytes, and an HMAC-based KDF producing
@@ -152,20 +162,47 @@ class SystemParams:
             if not 1 <= e <= self.q:
                 raise DecryptFail("element outside the group")
 
-    def g_exp(self, a: GElem, b: Scalar) -> GElem:
+    def g_exp(self, a: GElem, b: Scalar, powers: tuple[int, ...] | None = None) -> GElem:
         """a^b in G; exponents reduce mod q since the group has order q.
 
-        Powers of the generator g are products of one entry per byte of the
-        exponent from the shared fixed-base table; other bases use ``pow``."""
+        Given ``powers``, which must be ``base_powers(a)``, a^b is evaluated
+        from them by Yao's bucket method. Otherwise powers of the generator g
+        are products of one entry per byte of the exponent from the shared
+        fixed-base table, and other bases use ``pow``."""
         b %= self.q
-        if a != self.g:
-            return self.fold(pow(a, b, self.p))
         p = self.p
+        if powers is not None:
+            # bucket d collects the a^(16^j) of every digit d of b; then
+            # a^b = prod_d bucket_d^d = prod_{d=15..1} prod_{e>=d} bucket_e
+            buckets = [1] * 16
+            for power in powers:
+                digit = b & 15
+                b >>= 4
+                if digit:
+                    buckets[digit] = buckets[digit] * power % p
+            out = acc = 1
+            for bucket in reversed(buckets[1:]):
+                acc = acc * bucket % p
+                out = out * acc % p
+            return self.fold(out)
+        if a != self.g:
+            return self.fold(pow(a, b, p))
         rows = _fixed_base_table(a, p)
         out = 1
         for row, byte in zip(rows, b.to_bytes(len(rows), "little")):
             out = out * row[byte] % p
         return self.fold(out)
+
+    def base_powers(self, a: GElem) -> tuple[int, ...]:
+        """a^(16^j) mod p for j = 0, 1, ..., one per 4-bit digit of q, for
+        ``g_exp(a, b, powers)`` (Yao, SIAM J. Computing 1976): building them
+        costs about one exponentiation."""
+        p = self.p
+        out = [a]
+        for _ in range((self.q.bit_length() + 3) // 4 - 1):
+            a = pow(a, 16, p)
+            out.append(a)
+        return tuple(out)
 
     def g_mul(self, a: GElem, b: GElem) -> GElem:
         return self.fold(a * b % self.p)

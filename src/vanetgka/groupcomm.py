@@ -147,9 +147,7 @@ def rsu_open_directory_request(
 def rsu_serve_directory(
     params: SystemParams, state: GroupState, rng: random.Random
 ) -> wire.DirectoryListing:
-    shares = tuple(
-        (params.g_exp(rec.share_base, state.gamma), fid) for fid, rec in state.members.items()
-    )
+    shares = tuple((rec.blind(params, state.gamma), fid) for fid, rec in state.members.items())
     return Channel.derive(state.gk, b"gk").seal(
         params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch
     )

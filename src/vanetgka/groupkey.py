@@ -7,9 +7,10 @@ forms
     GK = g^gamma * prod_i g^(lambda_i * gamma)
 
 A member recovers g^gamma from its own blinded share by exponentiating
-with lambda_i^-1 mod q, then multiplies the share product back in.  The
-RSU keeps only the share bases, and computes a blinded share where it
-is sent.
+with lambda_i^-1 mod q, which it computes once, then multiplies the share
+product back in.  The RSU keeps only the share bases, with the powers of
+each one built the first time a rekey blinds it, and computes a blinded
+share where it is sent.
 
 A join seals the joiner's blinded share and the product on the joiner's
 channel, and announces the new GK to the existing members under the
@@ -17,9 +18,10 @@ previous GK (so newcomers cannot read history).  It computes the product
 as (prod_i g^lambda_i)^gamma: three exponentiations whatever the group
 size.  A leave broadcasts every remaining member's blinded share and
 their product under the previous GK, so the departed vehicle, which only
-ever knew its own lambda, cannot recover the new g^gamma: one
-exponentiation per remaining member.  Both draw the nonces of the seals
-a full rekey (``rsu_rekey``) would add, so runs keep their rng stream.
+ever knew its own lambda, cannot recover the new g^gamma: one evaluation
+of a member's powers table per remaining member.  Both draw the nonces of
+the seals a full rekey (``rsu_rekey``) would add, so runs keep their rng
+stream.
 
 Updated group keys travel to neighbor RSUs encrypted under the
 RSU-to-RSU session key; the receiving side keeps a short per-source
@@ -50,6 +52,14 @@ class MemberRecord:
 
     n1: Scalar  # authenticated-channel nonce
     share_base: GElem  # g^lambda; its blinded share is g^(lambda * gamma)
+    # share_base's powers for g_exp, built at the first blind(); about 4.4 kB
+    powers: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def blind(self, params: SystemParams, gamma: Scalar) -> GElem:
+        """The blinded share g^(lambda * gamma)."""
+        if self.powers is None:
+            self.powers = params.base_powers(self.share_base)
+        return params.g_exp(self.share_base, gamma, self.powers)
 
 
 @dataclass
@@ -71,6 +81,8 @@ class MemberState:
     lam: Scalar
     gk: GElem | None = None
     epoch: int = 0
+    # lambda^-1 mod q, computed at the first derivation
+    lam_inv: Scalar | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,7 @@ def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> Re
     if not state.members:
         raise StateError("cannot rekey an empty group")
     gamma = rand_zq_star(rng, params.q)
-    blinded = {fid: params.g_exp(rec.share_base, gamma) for fid, rec in state.members.items()}
+    blinded = {fid: rec.blind(params, gamma) for fid, rec in state.members.items()}
     product = params.g_prod(blinded.values())
     old_gk = _new_epoch(params, state, gamma, product)
     w = params.element_width
@@ -216,9 +228,7 @@ def handle_leave(
         state.epoch += 1
         return RekeyResult({}, None), None
     gamma = rand_zq_star(rng, params.q)
-    shares = tuple(
-        (params.g_exp(rec.share_base, gamma), fid) for fid, rec in state.members.items()
-    )
+    shares = tuple((rec.blind(params, gamma), fid) for fid, rec in state.members.items())
     product = params.g_prod(blinded for blinded, _ in shares)
     old_gk = _new_epoch(params, state, gamma, product)
     # one nonce per member update, then the notice's
@@ -235,7 +245,9 @@ def handle_leave(
 
 
 def _derive(params: SystemParams, mstate: MemberState, blinded: GElem, product: GElem) -> GElem:
-    g_gamma = params.g_exp(blinded, pow(mstate.lam, -1, params.q))
+    if mstate.lam_inv is None:
+        mstate.lam_inv = pow(mstate.lam, -1, params.q)
+    g_gamma = params.g_exp(blinded, mstate.lam_inv)
     return params.g_mul(g_gamma, product)
 
 

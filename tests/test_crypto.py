@@ -144,6 +144,49 @@ def test_other_bases_match_pow(name, a, b):
     assert params.g_exp(a, b) == reference_exp(params, a, b)
 
 
+# --- the powers of a recurring base -------------------------------------------------
+
+
+def test_g_exp_from_powers_matches_pow_exhaustively(tp):
+    for a in range(1, tp.q + 1):
+        powers = tp.base_powers(a)
+        for b in range(-2 * tp.q, 3 * tp.q):
+            assert tp.g_exp(a, b, powers) == reference_exp(tp, a, b)
+
+
+@pytest.mark.parametrize("name", ["small64", "default"])
+def test_g_exp_from_powers_matches_pow_at_the_edges(name):
+    params = get_profile(name)
+    q = params.q
+    edges = [0, 1, q - 1, q, q + 1, -1]
+    for k in range(1, (q.bit_length() + 3) // 4 + 2):
+        edges += [16**k, 16**k - 1]
+    for a in (params.g, 2, q - 1, q, params.hash_to_scalar(b"base")):
+        powers = params.base_powers(a)
+        for b in edges:
+            assert params.g_exp(a, b, powers) == reference_exp(params, a, b)
+
+
+@given(
+    st.sampled_from(["small64", "default"]),
+    st.integers(2, 2**260),
+    st.integers(-(2**300), 2**300),
+)
+def test_g_exp_from_powers_matches_pow(name, a, b):
+    params = get_profile(name)
+    a = a % params.q + 1
+    assert params.g_exp(a, b, params.base_powers(a)) == reference_exp(params, a, b)
+
+
+@pytest.mark.parametrize("name, length", [("test", 1), ("small64", 16), ("default", 64)])
+def test_base_powers_hold_one_power_per_hex_digit_of_q(name, length):
+    params = get_profile(name)
+    a = params.hash_to_scalar(b"base")
+    powers = params.base_powers(a)
+    assert len(powers) == length == (params.q.bit_length() + 3) // 4
+    assert powers == tuple(pow(a, 16**j, params.p) for j in range(length))
+
+
 def test_groups_with_the_same_generator_have_their_own_tables():
     small, default = get_profile("small64"), get_profile("default")
     assert small.g == default.g

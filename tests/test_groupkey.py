@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 
@@ -263,6 +264,99 @@ def test_join_exponentiations_do_not_grow_with_the_group(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts == [3, 3]
+
+
+def joined_group(params, size, rng):
+    """A group of ``size`` members admitted by ``handle_join``, and their states."""
+    state, mstates = GroupState(), []
+    for i in range(size):
+        session = auth_session(i, n1=100 + i)
+        mstate, offer = member_offer(params, session, rng)
+        result = handle_join(params, state, session, offer, rng)
+        member_derive(params, mstate, result.share_updates[session.fid])
+        for ms in mstates:
+            member_apply_notice(params, ms, result.notice)
+        mstates.append(mstate)
+    return state, mstates
+
+
+@pytest.mark.parametrize("leaves", [1, 6])
+def test_leave_sequence_builds_each_members_powers_once(monkeypatch, leaves):
+    """Consecutive leaves from a group of 20: each remaining record builds
+    its share base's powers once, at the first leave, and compares and
+    prints as before; every ``LeaveUpdate`` is the bytes ``rsu_rekey`` and
+    the leave seal give on a copy of the state, from the same rng."""
+    params = get_profile("small64")
+    w = params.element_width
+    rng = random.Random(30)
+    state, _ = joined_group(params, 20, rng)
+    assert all(rec.powers is None for rec in state.members.values())
+    before = {fid: (deepcopy(rec), repr(rec)) for fid, rec in state.members.items()}
+    real = SystemParams.base_powers
+    builds = Counter()
+
+    def counted(self, a):
+        builds[a] += 1
+        return real(self, a)
+
+    for fid in list(state.members)[:leaves]:
+        old_gk = state.gk
+        oracle = deepcopy(state)
+        oracle_rng = random.Random()
+        oracle_rng.setstate(rng.getstate())
+        with monkeypatch.context() as m:
+            m.setattr(SystemParams, "base_powers", counted)
+            _, update = handle_leave(params, state, fid, rng)
+        del oracle.members[fid]
+        rsu_rekey(params, oracle, oracle_rng)
+        blinded = [params.g_exp(rec.share_base, oracle.gamma) for rec in oracle.members.values()]
+        shares = tuple(zip(blinded, oracle.members))
+        expected = wire.Channel.derive(old_gk, b"gk").seal(
+            w, wire.LeaveUpdate, (shares, params.g_prod(blinded)), oracle_rng, oracle.epoch
+        )
+        assert encode(params, update) == encode(params, expected)
+        assert (state.gk, state.epoch, state.gamma) == (oracle.gk, oracle.epoch, oracle.gamma)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    first_remaining = list(before)[1:]
+    assert builds == Counter(before[fid][0].share_base for fid in first_remaining)
+    for fid, rec in state.members.items():
+        assert rec.powers is not None
+        assert rec == before[fid][0] and repr(rec) == before[fid][1]
+
+
+def test_member_inverts_lambda_once(monkeypatch):
+    """Over a join and several leaves each member state computes lambda^-1
+    once, and a directly constructed state derives the key that
+    g^(lambda^-1) of the blinded share times the product gives."""
+    params = get_profile("small64")
+    rng = random.Random(31)
+    real_pow = pow
+    inverses = Counter()
+
+    def counted(*args):
+        if args[1:2] == (-1,):
+            inverses[args[0]] += 1
+        return real_pow(*args)
+
+    monkeypatch.setattr("builtins.pow", counted)
+    state, mstates = joined_group(params, 6, rng)
+    for leaver in mstates[:3]:
+        old_gk = state.gk
+        _, update = handle_leave(params, state, leaver.fid, rng)
+        for ms in mstates[mstates.index(leaver) + 1 :]:
+            assert member_derive_from_leave(params, ms, update, old_gk) == state.gk
+    monkeypatch.undo()
+    assert inverses == Counter(ms.lam for ms in mstates)
+
+    shares, product = wire.Channel.derive(old_gk, b"gk").open(params.element_width, update)
+    for ms in mstates[3:]:
+        fresh = MemberState(fid=ms.fid, n1=ms.n1, lam=ms.lam)
+        assert fresh == MemberState(fid=ms.fid, n1=ms.n1, lam=ms.lam, gk=None, epoch=0)
+        (blinded,) = (b for b, fid in shares if fid == ms.fid)
+        expected = params.g_mul(params.g_exp(blinded, pow(ms.lam, -1, params.q)), product)
+        assert member_derive_from_leave(params, fresh, update, old_gk) == expected == state.gk
+        assert fresh == ms and repr(fresh) == repr(ms)
 
 
 def test_duplicate_join_rejected():
