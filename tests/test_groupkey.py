@@ -318,8 +318,8 @@ def test_leave_sequence_builds_each_members_powers_once(monkeypatch, leaves):
         assert (state.gk, state.epoch, state.gamma) == (oracle.gk, oracle.epoch, oracle.gamma)
         assert rng.getstate() == oracle_rng.getstate()
 
-    first_remaining = list(before)[1:]
-    assert builds == Counter(before[fid][0].share_base for fid in first_remaining)
+    # the first leave builds every other record's table, later leaves none
+    assert builds == Counter(rec.share_base for rec, _ in list(before.values())[1:])
     for fid, rec in state.members.items():
         assert rec.powers is not None
         assert rec == before[fid][0] and repr(rec) == before[fid][1]
@@ -352,7 +352,6 @@ def test_member_inverts_lambda_once(monkeypatch):
     shares, product = wire.Channel.derive(old_gk, b"gk").open(params.element_width, update)
     for ms in mstates[3:]:
         fresh = MemberState(fid=ms.fid, n1=ms.n1, lam=ms.lam)
-        assert fresh == MemberState(fid=ms.fid, n1=ms.n1, lam=ms.lam, gk=None, epoch=0)
         (blinded,) = (b for b, fid in shares if fid == ms.fid)
         expected = params.g_mul(params.g_exp(blinded, pow(ms.lam, -1, params.q)), product)
         assert member_derive_from_leave(params, fresh, update, old_gk) == expected == state.gk
