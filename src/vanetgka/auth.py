@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import wire
 from .crypto import (
@@ -85,8 +86,11 @@ class AuthSession:
     k_rsu: GElem = 0
 
 
+@lru_cache(maxsize=256)
 def gk_fid_key(gk: GElem) -> bytes:
-    """Key of the hello's fast-path field: the pseudonym under a neighbor gk."""
+    """Key of the hello's fast-path field: the pseudonym under a neighbor gk.
+
+    Memoized: an RSU tries every neighbor gk it holds on each hello."""
     return kdf(gk, b"gk:fid")
 
 
@@ -100,7 +104,7 @@ def hybrid_encrypt(
 ) -> tuple[GElem, bytes]:
     u = rand_zq_star(rng, params.q)
     epk = params.g_exp(params.g, u)
-    key = kdf(params.g_exp(pk, u), b"kem")
+    key = kdf(params.g_exp(pk, u, params.key_powers(pk)), b"kem")
     return epk, sym_encrypt(key, plaintext, rng)
 
 

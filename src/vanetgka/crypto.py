@@ -13,16 +13,24 @@ DELIBERATELY INSECURE (discrete logs in G1 are trivial); a production
 deployment would swap in a real pairing behind the same ``SystemParams``
 surface.
 
-Exponentiations of a base that recurs have two fixed-base forms:
+Which form an exponentiation takes depends on its base alone:
 
   * the generator g: a table with one row of 256 powers per byte of the
-    exponent (``_fixed_base_table``), 555 kB at 256 bits, shared by the
-    whole process; an exponentiation is 32 multiplications;
-  * any other long-lived base, such as a group member's share base: its
-    powers a^(16^j), one per 4-bit digit of q (``SystemParams.base_powers``),
-    about 4.4 kB at 256 bits, evaluated by Yao's bucket method in at most 94
-    multiplications.  The caller keeps them, one per base, so they must stay
-    small.
+    exponent (``_fixed_base_table``), 555 kB at 256 bits, shared by every
+    ``SystemParams`` of the group in the process; an exponentiation is 32
+    multiplications;
+  * a registered public key (``pk_ta_g`` or an RSU's key): its powers from
+    ``SystemParams.key_powers``, a bounded memo that each parameters object,
+    and so each trust authority, keeps for itself;
+  * a group member's share base: its powers, kept by the RSU-side member
+    record that owns the base (``groupkey.MemberRecord``);
+  * any other base, fresh from a message or used once (an ephemeral KEM key,
+    a ring commit, a blinded share): ``pow``, since a table costs about one
+    exponentiation to build.
+
+The powers of a base a are a^(16^j), one per 4-bit digit of q
+(``SystemParams.base_powers``), about 4.4 kB at 256 bits, evaluated by Yao's
+bucket method in at most 94 multiplications.
 
 The entries used depend on the secret exponent, so ``g_exp`` is not
 constant-time; that is acceptable in this toy, and a real backend would
@@ -146,6 +154,14 @@ class SystemParams:
         distinct (pk, message, signature) inputs. It lives on the parameters
         object, so each new trust authority starts with an empty memo."""
         return lru_cache(maxsize=64)(partial(_schnorr_check, self))
+
+    @cached_property
+    def key_powers(self):
+        """``base_powers`` of a registered public key, memoized for the last
+        64 distinct keys (about 280 kB at 256 bits). It lives on the
+        parameters object, so each new trust authority starts with an empty
+        memo."""
+        return lru_cache(maxsize=64)(self.base_powers)
 
     # -- group G ------------------------------------------------------------
 
@@ -341,13 +357,22 @@ def rand_zq_star(rng: random.Random, q: int) -> Scalar:
 
 
 def _ctr_sha256(head: bytes, n: int, tail: bytes = b"") -> bytes:
-    """n bytes of counter-mode SHA-256: blocks ``head || ctr (8 bytes) || tail``."""
-    out = bytearray()
-    ctr = 0
-    while len(out) < n:
-        out += hashlib.sha256(head + ctr.to_bytes(8, "big") + tail).digest()
-        ctr += 1
-    return bytes(out[:n])
+    """n bytes of counter-mode SHA-256: blocks ``head || ctr (8 bytes) || tail``.
+
+    ``head`` is hashed once: each block but the last continues a copy of that
+    state, and the last block continues the state itself."""
+    if n <= 0:
+        return b""
+    state = hashlib.sha256(head)
+    last = (n - 1) // 32
+    blocks = []
+    for ctr in range(last):
+        block = state.copy()
+        block.update(ctr.to_bytes(8, "big") + tail)
+        blocks.append(block.digest())
+    state.update(last.to_bytes(8, "big") + tail)
+    blocks.append(state.digest())
+    return b"".join(blocks)[:n]
 
 
 def _expand(domain: bytes, data: bytes, n: int) -> bytes:
@@ -442,5 +467,5 @@ def _schnorr_check(
     c, s = sig
     if not (0 <= c < params.q and 0 <= s < params.q):
         return False
-    commit = params.g_mul(params.g_exp(params.g, s), params.g_exp(pk, c))
+    commit = params.g_mul(params.g_exp(params.g, s), params.g_exp(pk, c, params.key_powers(pk)))
     return params.hash_to_scalar(params.encode_elem(commit) + message) == c

@@ -206,7 +206,8 @@ class GkaSession:
                 self._challenge_bytes(yhat[(i - 1) % self.n], yhat[i])
             )
             ok = params.g_mul(
-                params.g_exp(params.g, resp.s), params.g_exp(peer.pk, v_hat)
+                params.g_exp(params.g, resp.s),
+                params.g_exp(peer.pk, v_hat, params.key_powers(peer.pk)),
             )
             if ok != self.commits[peer.tid].r_pub:
                 raise SchnorrFail(peer.tid)

@@ -153,7 +153,8 @@ def refresh_vehicle_epoch(
 ) -> VehicleEpoch:
     """New ephemeral key pair and pseudonym on entering an RSU range."""
     alpha = rand_zq_star(rng, params.q)
-    mask = params.mask_hash(params.g_exp(params.pk_ta_g, alpha))
+    pk_ta = params.pk_ta_g
+    mask = params.mask_hash(params.g_exp(pk_ta, alpha, params.key_powers(pk_ta)))
     return VehicleEpoch(
         alpha=alpha,
         pk_v=params.g_exp(params.g, alpha),

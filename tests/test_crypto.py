@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vanetgka.auth import hybrid_decrypt, hybrid_encrypt
 from vanetgka.crypto import (
     MAC_LEN,
     PROFILES,
@@ -19,10 +20,18 @@ from vanetgka.crypto import (
     schnorr_verify,
     sym_decrypt,
     sym_encrypt,
+    _ctr_sha256,
     _fixed_base_table,
 )
 from vanetgka.errors import DecryptFail
-from vanetgka.registry import ta_init
+from vanetgka.gka import run_agreement
+from vanetgka.registry import (
+    refresh_vehicle_epoch,
+    register_rsu,
+    register_vehicle,
+    ta_init,
+    trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +213,95 @@ def test_trust_authorities_of_one_group_share_one_table():
     assert info.maxsize is not None
 
 
+# --- the powers of registered public keys ------------------------------------------
+
+
+def on_both_paths(monkeypatch, run):
+    """``run()`` as the code runs, then with ``g_exp`` ignoring every table of
+    powers, so that each base other than g is raised by ``pow``."""
+    g_exp = SystemParams.g_exp
+    with_tables = run()
+    with monkeypatch.context() as m:
+        m.setattr(SystemParams, "g_exp", lambda self, a, b, powers=None: g_exp(self, a, b))
+        on_pow = run()
+    return with_tables, on_pow
+
+
+def ta_with_rsus(profile: str, n: int):
+    ta = ta_init(profile, random.Random(1))
+    rng = random.Random(2)
+    rsus = [register_rsu(ta, b"rsu-%d" % i, (i * 1000, 0), rng)[0] for i in range(n)]
+    return ta, rsus
+
+
+@pytest.mark.parametrize("name", ["small64", "default"])
+def test_hybrid_encrypt_matches_the_pow_path(monkeypatch, name):
+    def run():
+        ta, rsus = ta_with_rsus(name, 3)
+        rng = random.Random(3)
+        out = [hybrid_encrypt(ta.params, r.pk, b"pseudonym and nonce", rng) for r in rsus * 2]
+        for r, (epk, ct) in zip(rsus * 2, out):
+            assert hybrid_decrypt(ta.params, r.sk, epk, ct) == b"pseudonym and nonce"
+        return out, ta.params.key_powers.cache_info().currsize
+
+    (with_tables, keys), (on_pow, _) = on_both_paths(monkeypatch, run)
+    assert with_tables == on_pow
+    assert keys == 3
+
+
+@pytest.mark.parametrize("name", ["small64", "default"])
+def test_refresh_vehicle_epoch_matches_the_pow_path(monkeypatch, name):
+    def run():
+        ta, _ = ta_with_rsus(name, 0)
+        vehicle = register_vehicle(ta, b"veh-1")
+        rng = random.Random(4)
+        epochs = [refresh_vehicle_epoch(vehicle, ta.params, rng) for _ in range(5)]
+        for epoch in epochs:
+            assert trace(ta, epoch.fid, epoch.pk_v) == b"veh-1"
+        return epochs, ta.params.key_powers.cache_info().hits
+
+    (with_tables, hits), (on_pow, _) = on_both_paths(monkeypatch, run)
+    assert with_tables == on_pow
+    assert hits == 4
+
+
+@pytest.mark.parametrize("name", ["small64", "default"])
+def test_run_agreement_matches_the_pow_path(monkeypatch, name):
+    def run():
+        ta, rsus = ta_with_rsus(name, 4)
+        out = run_agreement(ta.params, rsus, random.Random(5))
+        assert len(set(out[0].values())) == 1
+        return out, ta.params.key_powers.cache_info().currsize
+
+    (with_tables, keys), (on_pow, _) = on_both_paths(monkeypatch, run)
+    assert with_tables == on_pow
+    assert keys == 4
+
+
+def test_key_memo_returns_the_powers_of_each_key():
+    ta, rsus = ta_with_rsus("default", 3)
+    params = ta.params
+    keys = [params.pk_ta_g, *(r.pk for r in rsus)]
+    for _ in range(2):
+        for pk in keys:
+            assert params.key_powers(pk) == params.base_powers(pk)
+    info = params.key_powers.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+
+
+def test_key_memo_is_bounded():
+    maxsize = get_profile("default").with_ta_keys(5).key_powers.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+
+
+def test_trust_authorities_of_one_profile_keep_their_own_key_memo():
+    first, second = (ta_init("default", random.Random(seed)).params for seed in (1, 2))
+    first.key_powers(first.pk_ta_g)
+    assert first.key_powers is not second.key_powers
+    assert first.key_powers.cache_info().currsize == 1
+    assert second.key_powers.cache_info().currsize == 0
+
+
 # --- pairing ------------------------------------------------------------------
 
 
@@ -320,6 +418,24 @@ def test_kdf_collision_scan():
     for v in range(10_000):
         seen.add(kdf(v, b"enc"))
     assert len(seen) == 10_000
+
+
+def reference_ctr_sha256(head: bytes, n: int, tail: bytes = b"") -> bytes:
+    """The keystream hashed block by block, head included each time."""
+    out = bytearray()
+    ctr = 0
+    while len(out) < n:
+        out += hashlib.sha256(head + ctr.to_bytes(8, "big") + tail).digest()
+        ctr += 1
+    return bytes(out[:n])
+
+
+@pytest.mark.parametrize("tail", [b"", b"data after the counter"])
+def test_ctr_sha256_matches_the_block_by_block_keystream(tail):
+    head = kdf(7, b"enc") + bytes(range(16))
+    # 7,000 and 9,000 bytes lie on either side of 256 blocks
+    for n in [*range(301), 7000, 9000]:
+        assert _ctr_sha256(head, n, tail) == reference_ctr_sha256(head, n, tail)
 
 
 def test_sym_round_trip():

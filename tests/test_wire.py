@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetgka import wire
+from vanetgka import auth, wire
 from vanetgka.crypto import get_profile, kdf, sym_encrypt
 from vanetgka.errors import DecryptFail, MacFail
 from wiregen import random_message
@@ -144,7 +144,7 @@ def test_mac_input_raises_on_every_call_for_a_class_without_mac():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (wire.Channel.derive, wire.mac_input, wire._open_outcome):
+    for cached in (wire.Channel.derive, wire.mac_input, wire._open_outcome, auth.gk_fid_key):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
 
