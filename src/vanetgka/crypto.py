@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import random
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 
@@ -148,20 +149,22 @@ class SystemParams:
         """These parameters with the TA public keys of ``sk_ta``."""
         return replace(self, pk_ta_g=self.g_exp(self.g, sk_ta), pk_ta_g1=self.g1_mul(sk_ta, 1))
 
+    # The two memos below live on the parameters object, so each new trust
+    # authority starts with empty ones. They hold it by a weak reference: a
+    # strong one would make a cycle, and each dropped trust authority's
+    # memos would stay in memory until the next full garbage collection.
+
     @cached_property
     def _schnorr_memo(self):
         """``schnorr_verify`` under these parameters, memoized for the last 64
-        distinct (pk, message, signature) inputs. It lives on the parameters
-        object, so each new trust authority starts with an empty memo."""
-        return lru_cache(maxsize=64)(partial(_schnorr_check, self))
+        distinct (pk, message, signature) inputs."""
+        return lru_cache(maxsize=64)(partial(_schnorr_check, weakref.proxy(self)))
 
     @cached_property
     def key_powers(self):
         """``base_powers`` of a registered public key, memoized for the last
-        64 distinct keys (about 280 kB at 256 bits). It lives on the
-        parameters object, so each new trust authority starts with an empty
-        memo."""
-        return lru_cache(maxsize=64)(self.base_powers)
+        64 distinct keys (about 280 kB at 256 bits)."""
+        return lru_cache(maxsize=64)(partial(SystemParams.base_powers, weakref.proxy(self)))
 
     # -- group G ------------------------------------------------------------
 

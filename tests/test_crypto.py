@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import hmac
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -292,6 +294,19 @@ def test_key_memo_returns_the_powers_of_each_key():
 def test_key_memo_is_bounded():
     maxsize = get_profile("default").with_ta_keys(5).key_powers.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 256
+
+
+def test_dropped_parameters_are_freed_with_their_memos_at_once():
+    params = ta_init("default", random.Random(1)).params
+    params.key_powers(params.pk_ta_g)
+    assert not schnorr_verify(params, params.pk_ta_g, b"message", (1, 1))
+    freed = weakref.ref(params)
+    gc.disable()  # only reference counting may free it
+    try:
+        del params
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_trust_authorities_of_one_profile_keep_their_own_key_memo():
