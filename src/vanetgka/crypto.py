@@ -163,8 +163,12 @@ class SystemParams:
     @cached_property
     def key_powers(self):
         """``base_powers`` of a registered public key, memoized for the last
-        64 distinct keys (about 280 kB at 256 bits)."""
-        return lru_cache(maxsize=64)(partial(SystemParams.base_powers, weakref.proxy(self)))
+        256 distinct keys (about 1.1 MB at 256 bits).
+
+        A key agreement walks the whole RSU roster, so with more than 256
+        registered keys a walk misses on every key, and each miss (a table
+        build, then its use) costs a little more than one ``pow``."""
+        return lru_cache(maxsize=256)(partial(SystemParams.base_powers, weakref.proxy(self)))
 
     # -- group G ------------------------------------------------------------
 
@@ -362,19 +366,13 @@ def rand_zq_star(rng: random.Random, q: int) -> Scalar:
 def _ctr_sha256(head: bytes, n: int, tail: bytes = b"") -> bytes:
     """n bytes of counter-mode SHA-256: blocks ``head || ctr (8 bytes) || tail``.
 
-    ``head`` is hashed once: each block but the last continues a copy of that
-    state, and the last block continues the state itself."""
-    if n <= 0:
-        return b""
+    ``head`` is hashed once, and each block continues a copy of that state."""
     state = hashlib.sha256(head)
-    last = (n - 1) // 32
     blocks = []
-    for ctr in range(last):
+    for ctr in range((n + 31) // 32):
         block = state.copy()
         block.update(ctr.to_bytes(8, "big") + tail)
         blocks.append(block.digest())
-    state.update(last.to_bytes(8, "big") + tail)
-    blocks.append(state.digest())
     return b"".join(blocks)[:n]
 
 

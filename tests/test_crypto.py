@@ -296,6 +296,18 @@ def test_key_memo_is_bounded():
     assert maxsize is not None and 0 < maxsize <= 256
 
 
+def test_key_memo_holds_a_roster_of_100_rsus():
+    # a key agreement walks the whole roster, so a memo smaller than the
+    # roster would miss on every key of every walk
+    params = get_profile("small64").with_ta_keys(5)
+    keys = [params.g_exp(params.g, k) for k in range(2, 102)]
+    for _ in range(3):
+        for pk in keys:
+            params.key_powers(pk)
+    info = params.key_powers.cache_info()
+    assert (info.misses, info.hits) == (100, 200)
+
+
 def test_dropped_parameters_are_freed_with_their_memos_at_once():
     params = ta_init("default", random.Random(1)).params
     params.key_powers(params.pk_ta_g)

@@ -3,10 +3,10 @@ rounds left in the process's memos.
 
 From the root of a checkout:
 
-    python3 tools/cold_rounds.py [--seed 1] [--rounds 3]
+    python3 tools/cold_rounds.py
 
 For each workload of ``perfbench/workloads.py`` it starts a fresh Python
-process that builds and plays ``--rounds`` rounds with ``--seed``, each round
+process that builds and plays ``ROUNDS`` rounds with ``SEED``, each round
 under a fresh ``perfbench`` ``Tracer`` (both imported read-only), and prints
 each round's call counts of ``crypto.g_exp``, ``kdf``, ``hmac_tag``,
 ``sym_encrypt`` and ``sym_decrypt``. The first round starts with every
@@ -30,9 +30,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMPARED = ("crypto.g_exp", "crypto.hmac_tag", "crypto.sym_encrypt", "crypto.sym_decrypt")
 PRINTED = ("crypto.g_exp", "crypto.kdf", *COMPARED[1:])
+SEED = 1
+ROUNDS = 3
 
 
-def play_rounds(workload: str, seed: int, rounds: int) -> list[dict[str, int]]:
+def play_rounds(workload: str) -> list[dict[str, int]]:
     """Each round's counts of ``PRINTED``, in this process."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from tracer import Tracer
@@ -40,21 +42,19 @@ def play_rounds(workload: str, seed: int, rounds: int) -> list[dict[str, int]]:
 
     wl = WORKLOADS[workload]
     out = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         with Tracer() as tracer:
-            wl.play(wl.build(seed))
+            wl.play(wl.build(SEED))
         out.append({key: tracer.stats[key].calls for key in PRINTED})
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--workload", help="play this workload here and print its counts as JSON")
     args = ap.parse_args(argv)
     if args.workload:
-        print(json.dumps(play_rounds(args.workload, args.seed, args.rounds)))
+        print(json.dumps(play_rounds(args.workload)))
         return 0
 
     env = {k: v for k, v in os.environ.items() if k != "SIM_LOG"}
@@ -63,7 +63,6 @@ def main(argv=None) -> int:
     status = 0
     for name in names:
         child = [sys.executable, __file__, "--workload", name]
-        child += ["--seed", str(args.seed), "--rounds", str(args.rounds)]
         proc = subprocess.run(child, env=env, capture_output=True, text=True, check=True)
         counts = json.loads(proc.stdout.splitlines()[-1])
         for i, round_counts in enumerate(counts, 1):
