@@ -3,7 +3,10 @@
 A message is a 1-byte type tag followed by its fields in declaration order.
 Each message class lists its fields' kinds in ``LAYOUT``, and
 ``encode_message``/``decode_message`` frame that layout after the tag the way
-``pack``/``unpack`` frame any kinds. The kinds (all
+``pack``/``unpack`` frame any kinds. Each kind has a writer, which returns the
+bytes of one field, and a reader, which takes ``(data, offset)`` and returns
+the value and the offset after it; ``_frame`` looks both up once per layout
+and element width, so framing builds no per-call objects. The kinds (all
 integers big-endian):
 
   elem        group element, element_width bytes (G, G1 and scalar values alike)
@@ -17,7 +20,15 @@ integers big-endian):
   var         4-byte length prefix + bytes (ciphertexts, identities)
 
 ``decode(encode(m)) == m`` for every message, and decoding rejects unknown
-tags, truncated input and trailing garbage.
+tags, truncated input and trailing garbage. The codec is canonical, so
+``encode(decode(d)) == d`` too.
+
+A message keeps its wire bytes: those it was decoded from, MACed over
+(``Channel.tag``) or last encoded to, with their element width, as
+``_encoding`` in its instance ``__dict__``. ``encode_message`` returns them
+and ``mac_input`` slices them when the width matches, so a message is encoded
+once for the width it is sent at. They are no dataclass field, so ``repr``,
+``==``, ``hash`` and ``dataclasses.replace`` ignore them.
 
 The same kinds frame the bytes inside messages: ``pack``/``unpack`` write and
 read any sequence of kinds without a type tag. Each sealed class declares the
@@ -50,7 +61,7 @@ message's encoding with its final 16 bytes zeroed. ``Channel.seal`` takes the
 body's values and ``Channel.open`` returns them; a body that is not exactly
 its ``BODY`` raises ``DecryptFail``. Every receiver of a group message opens it
 under the same channel, so ``open`` memoizes its outcome, success or failure,
-for the last 16 distinct (channel, width, message) inputs.
+for the last 64 distinct (channel, width, message) inputs.
 """
 
 from __future__ import annotations
@@ -77,124 +88,142 @@ _U64_MAX = 2**64 - 1
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-class _Writer:
-    def __init__(self, width: int):
-        self.width = width
-        self.parts: list[bytes] = []
+def _put_u64(v: int) -> bytes:
+    if not 0 <= v <= _U64_MAX:
+        raise ValueError(f"u64 field out of range: {v}")
+    return v.to_bytes(8, "big")
 
-    def u64(self, v: int) -> None:
-        if not 0 <= v <= _U64_MAX:
-            raise ValueError(f"u64 field out of range: {v}")
-        self.parts.append(v.to_bytes(8, "big"))
 
-    def i64(self, v: int) -> None:
-        if not _I64_MIN <= v <= _I64_MAX:
-            raise ValueError(f"i64 field out of range: {v}")
-        self.parts.append(v.to_bytes(8, "big", signed=True))
+def _put_i64(v: int) -> bytes:
+    if not _I64_MIN <= v <= _I64_MAX:
+        raise ValueError(f"i64 field out of range: {v}")
+    return v.to_bytes(8, "big", signed=True)
 
-    def elem(self, v: int) -> None:
+
+def _sized_writer(n: int, what: str):
+    def put(v: bytes) -> bytes:
+        if len(v) != n:
+            raise ValueError(f"{what} must be {n} bytes, got {len(v)}")
+        return v
+
+    return put
+
+
+def _uint_reader(n: int):
+    def get(data: bytes, pos: int) -> tuple[int, int]:
+        end = pos + n
+        if end > len(data):
+            raise ValueError("truncated message")
+        return int.from_bytes(data[pos:end], "big"), end
+
+    return get
+
+
+def _get_i64(data: bytes, pos: int) -> tuple[int, int]:
+    end = pos + 8
+    if end > len(data):
+        raise ValueError("truncated message")
+    return int.from_bytes(data[pos:end], "big", signed=True), end
+
+
+def _bytes_reader(n: int):
+    def get(data: bytes, pos: int) -> tuple[bytes, int]:
+        end = pos + n
+        if end > len(data):
+            raise ValueError("truncated message")
+        return data[pos:end], end
+
+    return get
+
+
+def _put_var(v: bytes) -> bytes:
+    if len(v) > _U32_MAX:
+        raise ValueError("variable field too long")
+    return len(v).to_bytes(4, "big") + v
+
+
+_put_fid = _sized_writer(PSEUDONYM_LEN, "pseudonym")
+_get_count = _uint_reader(4)  # the count or length before a var, elem_list or shares
+
+
+def _get_var(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = _get_count(data, pos)
+    end = pos + n
+    if end > len(data):
+        raise ValueError("truncated message")
+    return data[pos:end], end
+
+
+def _kinds(width: int) -> dict[str, tuple]:
+    """Each kind's writer and reader at element width ``width``.
+
+    A writer returns the bytes of one field; a reader takes ``(data,
+    offset)`` and returns ``(value, offset after the field)``, or raises
+    ValueError if the field runs past the end of ``data``."""
+
+    def put_elem(v: int) -> bytes:
         try:
-            self.parts.append(v.to_bytes(self.width, "big"))
+            return v.to_bytes(width, "big")
         except OverflowError:
-            raise ValueError(f"element {v} does not fit width {self.width}") from None
+            raise ValueError(f"element {v} does not fit width {width}") from None
 
-    def fid(self, v: bytes) -> None:
-        if len(v) != PSEUDONYM_LEN:
-            raise ValueError(f"pseudonym must be {PSEUDONYM_LEN} bytes, got {len(v)}")
-        self.parts.append(v)
-
-    def mac(self, v: bytes) -> None:
-        if len(v) != MAC_LEN:
-            raise ValueError(f"mac must be {MAC_LEN} bytes, got {len(v)}")
-        self.parts.append(v)
-
-    def var(self, v: bytes) -> None:
-        if len(v) > _U32_MAX:
-            raise ValueError("variable field too long")
-        self.parts.append(len(v).to_bytes(4, "big"))
-        self.parts.append(v)
-
-    def elem_list(self, vs: tuple[int, ...]) -> None:
+    def put_elem_list(vs: tuple[int, ...]) -> bytes:
         if len(vs) > _U32_MAX:
             raise ValueError("element list too long")
-        self.parts.append(len(vs).to_bytes(4, "big"))
-        for v in vs:
-            self.elem(v)
+        return b"".join([len(vs).to_bytes(4, "big"), *map(put_elem, vs)])
 
-    def shares(self, vs: tuple[tuple[int, bytes], ...]) -> None:
+    def put_shares(vs: tuple[tuple[int, bytes], ...]) -> bytes:
         if len(vs) > _U32_MAX:
             raise ValueError("share list too long")
-        self.parts.append(len(vs).to_bytes(4, "big"))
+        parts = [len(vs).to_bytes(4, "big")]
         for v, fid in vs:
-            self.elem(v)
-            self.fid(fid)
+            parts += (put_elem(v), _put_fid(fid))
+        return b"".join(parts)
 
-    def rest(self, v: bytes) -> None:
-        self.parts.append(v)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes, width: int):
-        self.data = data
-        self.width = width
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def get_elem_list(data: bytes, pos: int) -> tuple[tuple[int, ...], int]:
+        n, pos = _get_count(data, pos)
+        end = pos + n * width
+        if end > len(data):
             raise ValueError("truncated message")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        starts = range(pos, end, width)
+        return tuple([int.from_bytes(data[i : i + width], "big") for i in starts]), end
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def i64(self) -> int:
-        return int.from_bytes(self.take(8), "big", signed=True)
-
-    def elem(self) -> int:
-        return int.from_bytes(self.take(self.width), "big")
-
-    def fid(self) -> bytes:
-        return self.take(PSEUDONYM_LEN)
-
-    def mac(self) -> bytes:
-        return self.take(MAC_LEN)
-
-    def var(self) -> bytes:
-        n = int.from_bytes(self.take(4), "big")
-        return self.take(n)
-
-    def elem_list(self) -> tuple[int, ...]:
-        n = int.from_bytes(self.take(4), "big")
-        if self.pos + n * self.width > len(self.data):
+    def get_shares(data: bytes, pos: int) -> tuple[tuple[tuple[int, bytes], ...], int]:
+        # every member of a group parses each leave update, so this is the
+        # codec's hottest loop: one bounds check, then one pass
+        n, pos = _get_count(data, pos)
+        step = width + PSEUDONYM_LEN
+        end = pos + n * step
+        if end > len(data):
             raise ValueError("truncated message")
-        return tuple(self.elem() for _ in range(n))
-
-    def shares(self) -> tuple[tuple[int, bytes], ...]:
-        n = int.from_bytes(self.take(4), "big")
-        w = self.width
-        step = w + PSEUDONYM_LEN
-        # one slice and one pass: every member of a group parses each leave
-        # update, so this is the codec's hottest loop
-        block = self.take(n * step)
         get = int.from_bytes
-        starts = range(0, len(block), step)
-        return tuple([(get(block[i : i + w], "big"), block[i + w : i + step]) for i in starts])
+        starts = range(pos, end, step)
+        entries = [(get(data[i : i + width], "big"), data[i + width : i + step]) for i in starts]
+        return tuple(entries), end
 
-    def rest(self) -> bytes:
-        return self.take(len(self.data) - self.pos)
+    return {
+        "elem": (put_elem, _uint_reader(width)),
+        "elem_list": (put_elem_list, get_elem_list),
+        "shares": (put_shares, get_shares),
+        "fid": (_put_fid, _bytes_reader(PSEUDONYM_LEN)),
+        "mac": (_sized_writer(MAC_LEN, "mac"), _bytes_reader(MAC_LEN)),
+        "rest": (lambda v: v, lambda data, pos: (data[pos:], len(data))),
+        "u64": (_put_u64, _uint_reader(8)),
+        "i64": (_put_i64, _get_i64),
+        "var": (_put_var, _get_var),
+    }
 
-    def read(self, gets: tuple) -> tuple:
-        """One value per reader method in ``gets``; ValueError unless they
-        end exactly at the end of the data."""
-        values = tuple([get(self) for get in gets])
-        if self.pos != len(self.data):
-            raise ValueError(f"{len(self.data) - self.pos} trailing bytes")
-        return values
+
+def _read(gets: tuple, data: bytes, pos: int) -> tuple:
+    """One value per reader in ``gets``, from ``pos`` on; ValueError unless
+    they end exactly at the end of ``data``."""
+    values = []
+    for get in gets:
+        value, pos = get(data, pos)
+        values.append(value)
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +424,31 @@ MESSAGE_TYPES: tuple[type, ...] = get_args(WireMessage)
 _BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
 
 
-@lru_cache(maxsize=64)
-def _frame(kinds: tuple[str, ...]) -> tuple[tuple, tuple]:
-    """The writer and the reader method of each kind, looked up once per layout."""
+def _check_final(kinds: tuple[str, ...]) -> None:
     if "mac" in kinds[:-1] or "rest" in kinds[:-1]:
         raise ValueError(f"mac and rest may only be the final kind: {kinds}")
-    return tuple(getattr(_Writer, k) for k in kinds), tuple(getattr(_Reader, k) for k in kinds)
 
 
-# per class: a getter that returns the field values in layout order; _frame
-# rejects, at import, a LAYOUT or BODY with mac or rest anywhere but last
+@lru_cache(maxsize=128)
+def _frame(kinds: tuple[str, ...], width: int) -> tuple[tuple, tuple]:
+    """The writer and the reader of each kind at ``width``, looked up once per
+    layout and width."""
+    _check_final(kinds)
+    table = _kinds(width)
+    return tuple(table[k][0] for k in kinds), tuple(table[k][1] for k in kinds)
+
+
+# per class: a getter that returns the field values in layout order, and the
+# default of the kept encoding (see encode_message); a LAYOUT or BODY with mac
+# or rest anywhere but last is rejected at import
 for _cls in MESSAGE_TYPES:
     _names = [f.name for f in fields(_cls)]
     assert len(_names) == len(_cls.LAYOUT), _cls
     _cls._VALUES = attrgetter(*_names)
-    _frame(_cls.LAYOUT)
+    _cls._encoding = (None, b"")
+    _check_final(_cls.LAYOUT)
     if hasattr(_cls, "BODY"):
-        _frame(_cls.BODY)
+        _check_final(_cls.BODY)
 
 _NO_MAC = bytes(MAC_LEN)
 
@@ -422,18 +459,16 @@ def _encode(cls: type, values: tuple, element_width: int) -> bytes:
 
 def pack(kinds: tuple[str, ...], values, element_width: int) -> bytes:
     """``values`` framed by ``kinds``, with no type tag."""
-    w = _Writer(element_width)
-    for put, v in zip(_frame(kinds)[0], values, strict=True):
-        put(w, v)
-    return w.getvalue()
+    puts = _frame(kinds, element_width)[0]
+    return b"".join([put(v) for put, v in zip(puts, values, strict=True)])
 
 
 def unpack(kinds: tuple[str, ...], data: bytes, element_width: int) -> tuple:
     """The values ``pack`` framed by ``kinds``; DecryptFail if ``data`` is
     truncated or longer than the frame."""
-    gets = _frame(kinds)[1]
+    gets = _frame(kinds, element_width)[1]
     try:
-        return _Reader(data, element_width).read(gets)
+        return _read(gets, data, 0)
     except ValueError as e:
         raise DecryptFail(f"malformed body: {e}") from None
 
@@ -446,31 +481,53 @@ def signed_input(msg: WireMessage, element_width: int) -> bytes:
 
 
 def encode_message(msg: WireMessage, element_width: int) -> bytes:
-    cls = type(msg)
-    return _encode(cls, cls._VALUES(msg), element_width)
+    """The message's wire bytes at ``element_width``.
+
+    Returns the bytes the message keeps if they have this width; otherwise
+    encodes it and keeps the result, with its width, as ``_encoding`` in the
+    instance ``__dict__``. They are not a field, so ``repr``, ``==``, ``hash``
+    and ``dataclasses.replace`` ignore them; a replaced copy is encoded
+    afresh."""
+    width, data = msg._encoding
+    if width != element_width:
+        cls = type(msg)
+        data = _encode(cls, cls._VALUES(msg), element_width)
+        msg.__dict__["_encoding"] = (element_width, data)
+    return data
 
 
 def decode_message(data: bytes, element_width: int) -> WireMessage:
-    r = _Reader(data, element_width)
-    tag = r.take(1)[0]
+    """The message ``data`` encodes; ValueError on an unknown tag, truncated
+    input or trailing bytes.
+
+    The message keeps ``data``: the codec is canonical, so a decoded message
+    encodes to the bytes it was decoded from."""
+    data = bytes(data)
+    if not data:
+        raise ValueError("truncated message")
     try:
-        cls = _BY_TAG[tag]
+        cls = _BY_TAG[data[0]]
     except KeyError:
-        raise ValueError(f"unknown type tag 0x{tag:02x}") from None
-    return cls(*r.read(_frame(cls.LAYOUT)[1]))
+        raise ValueError(f"unknown type tag 0x{data[0]:02x}") from None
+    msg = cls(*_read(_frame(cls.LAYOUT, element_width)[1], data, 1))
+    msg.__dict__["_encoding"] = (element_width, data)
+    return msg
 
 
-@lru_cache(maxsize=32)
 def mac_input(msg: WireMessage, element_width: int) -> bytes:
     """Canonical bytes a message's MAC is computed over: the encoding with
     the mac field (always the last 16 bytes) zeroed.
 
-    Memoized by value: messages are frozen dataclasses that hash and compare
-    by class and fields, so every receiver of one broadcast shares one
-    encoding."""
+    A slice of the bytes the message keeps (see ``encode_message``): every
+    receiver of one send shares the decoded message, so none re-encodes it."""
     if msg.LAYOUT[-1] != "mac":
         raise TypeError(f"{type(msg).__name__} carries no mac")
-    return encode_message(msg, element_width)[:-MAC_LEN] + _NO_MAC
+    # read the kept bytes here, not through encode_message, so that a traced
+    # encode_message call is a send or an actual encoding
+    width, data = msg._encoding
+    if width != element_width:
+        data = encode_message(msg, element_width)
+    return data[:-MAC_LEN] + _NO_MAC
 
 
 class Channel(NamedTuple):
@@ -494,9 +551,15 @@ class Channel(NamedTuple):
         return Channel(kdf(secret, label + b":enc"), kdf(secret, label + b":mac"))
 
     def tag(self, element_width: int, cls: type, *values) -> WireMessage:
-        """``cls(*values, mac)``, MACed over its ``mac_input``."""
+        """``cls(*values, mac)``, MACed over its ``mac_input``.
+
+        The message keeps its encoding, the MACed bytes with the mac in place
+        of the zeroed field, so sending it encodes nothing."""
         data = _encode(cls, (*values, _NO_MAC), element_width)
-        return cls(*values, hmac_tag(self.mac_key, data))
+        mac = hmac_tag(self.mac_key, data)
+        msg = cls(*values, mac)
+        msg.__dict__["_encoding"] = (element_width, data[:-MAC_LEN] + mac)
+        return msg
 
     def check(self, element_width: int, msg: WireMessage) -> None:
         if not macs_equal(msg.mac, hmac_tag(self.mac_key, mac_input(msg, element_width))):
@@ -523,14 +586,16 @@ class Channel(NamedTuple):
         return body
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _open_outcome(channel: Channel, element_width: int, msg: WireMessage) -> tuple:
     """``(body, None)``, or ``(None, (error class, message))`` for a rejection.
 
     Memoized by value: all receivers of one send open it back to back, so the
     ones under the same key share one MAC check and one decryption, and those
-    under the same stale key share one MAC failure. Sixteen entries outlast
-    the opens of one send, and later sends overwrite them long before a run
+    under the same stale key share one MAC failure. The receivers of one send
+    can hold dozens of distinct stale keys: in a density-sweep round an entry
+    is reused after at most 36 other inputs, so 64 entries keep every reuse
+    (16 lose 351 of its 32,428). Later sends overwrite them long before a run
     that replays the same secrets could reuse them. A failure is stored as its
     class and text, not as an exception, whose traceback would grow with every
     raise."""

@@ -1,8 +1,9 @@
 import random
 import traceback
 import tracemalloc
+import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -144,9 +145,81 @@ def test_mac_input_raises_on_every_call_for_a_class_without_mac():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (wire.Channel.derive, wire.mac_input, wire._open_outcome, auth.gk_fid_key):
+    for cached in (wire.Channel.derive, wire._open_outcome, auth.gk_fid_key):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
+
+
+def test_a_message_only_mac_checked_is_freed_with_its_last_reference():
+    channel = wire.Channel.derive(1005, b"gk")
+    msg = wire.decode_message(wire.encode_message(channel.tag(8, wire.AuthChallenge, b"ct"), 8), 8)
+    channel.check(8, msg)
+    ref = weakref.ref(msg)
+    del msg
+    assert ref() is None
+
+
+# --- one encoding per message ----------------------------------------------------
+
+EXACT_WIDTHS = [4, 8, 32]
+MAC_TYPES = [cls for cls in wire.MESSAGE_TYPES if cls.LAYOUT[-1] == "mac"]
+
+
+def fresh_encoding(msg, width: int) -> bytes:
+    """The message's bytes, encoded from its field values now."""
+    return wire._encode(type(msg), tuple(getattr(msg, f.name) for f in fields(msg)), width)
+
+
+@pytest.mark.parametrize("cls", MAC_TYPES)
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+def test_tag_keeps_the_fresh_encoding(cls, width):
+    rng = random.Random(cls.TAG * 100 + width)
+    channel = wire.Channel.derive(1006, b"gk")
+    for _ in range(20):
+        head = [getattr(random_message(cls, rng, width), f.name) for f in fields(cls)][:-1]
+        msg = channel.tag(width, cls, *head)
+        kept = wire.encode_message(msg, width)
+        assert kept == fresh_encoding(msg, width)
+        assert wire.encode_message(msg, width) is kept
+        assert wire.mac_input(msg, width) == kept[:-16] + bytes(16)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+def test_a_decoded_message_encodes_to_the_bytes_it_came_from(cls, width):
+    rng = random.Random(cls.TAG * 100 + width)
+    for _ in range(20):
+        data = fresh_encoding(random_message(cls, rng, width), width)
+        msg = wire.decode_message(data, width)
+        assert wire.encode_message(msg, width) is data
+        assert fresh_encoding(msg, width) == data
+        from_buffer = wire.encode_message(wire.decode_message(bytearray(data), width), width)
+        assert type(from_buffer) is bytes and from_buffer == data
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+def test_a_message_encoded_at_another_width_is_encoded_afresh(cls):
+    rng = random.Random(cls.TAG)
+    for _ in range(20):
+        built = random_message(cls, rng, 8)
+        for msg in (built, wire.decode_message(fresh_encoding(built, 8), 8)):
+            for width in (8, 16, 8):
+                assert wire.encode_message(msg, width) == fresh_encoding(msg, width)
+                if cls in MAC_TYPES:
+                    assert wire.mac_input(msg, width) == fresh_encoding(msg, width)[:-16] + bytes(16)
+
+
+@pytest.mark.parametrize("cls", wire.MESSAGE_TYPES)
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+def test_a_replaced_copy_never_inherits_the_kept_bytes(cls, width):
+    rng = random.Random(cls.TAG * 100 + width)
+    first = fields(cls)[0].name
+    for _ in range(20):
+        msg = wire.decode_message(fresh_encoding(random_message(cls, rng, width), width), width)
+        other = getattr(random_message(cls, rng, width), first)
+        for copy in (replace(msg), replace(msg, **{first: other})):
+            assert wire.encode_message(copy, width) == fresh_encoding(copy, width)
+            assert wire.encode_message(copy, width) is not wire.encode_message(msg, width)
 
 
 def test_describe_mentions_every_field():
@@ -220,6 +293,17 @@ def test_body_truncation_and_trailing_byte_raise_decrypt_fail(cls):
     for cut in range(fixed):
         with pytest.raises(DecryptFail):
             wire.unpack(cls.BODY, data[:cut], width)
+
+
+@pytest.mark.parametrize("kind", ["elem", "elem_list", "shares", "fid", "mac", "u64", "i64", "var"])
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+def test_every_reader_rejects_a_field_cut_short(kind, width):
+    rng = random.Random(width)
+    for _ in range(5):
+        data = wire.pack((kind,), random_values((kind,), rng, width), width)
+        for cut in range(len(data)):
+            with pytest.raises(DecryptFail, match="truncated message"):
+                wire.unpack((kind,), data[:cut], width)
 
 
 def test_channel_open_rejects_a_misframed_body():
