@@ -201,8 +201,9 @@ def process_hello(
     Returns the RSU-side session and, when the fast path did not engage,
     the challenge to send back.
     """
-    if now_ms - hello.ts_ms > delta_max_ms:
-        raise StaleTimestamp(f"hello is {now_ms - hello.ts_ms:.0f} ms old")
+    # a hello dated ahead would otherwise replay until its date
+    if abs(now_ms - hello.ts_ms) > delta_max_ms:
+        raise StaleTimestamp(f"hello is dated {hello.ts_ms - now_ms:+.0f} ms from now")
     plain = hybrid_decrypt(params, rsu_creds.sk, hello.kem_epk, hello.kem_ct)
     fid, n1 = wire.unpack(wire.AuthHello.KEM, plain, params.element_width)
     if not 1 <= n1 < params.q:

@@ -25,6 +25,10 @@ are data only: session keys, sample and trace labels.
 
 A vehicle keeps each fact once: it is on the road while it has a nearest
 RSU node (``target``), and joined while its member state holds a group key.
+An RSU's members are the joined vehicles in ``Simulation.members[rsu]``
+(vehicle node -> the fid it was admitted under, in admission order), which an
+offer sets and a crossing pops; its notices, leave updates and group
+broadcasts reach them.  The map is not held by a node, so nodes form no cycle.
 
 Every entry a handler pushes lies strictly after the time it runs at, so
 simulated time never goes backwards.  All randomness flows from one
@@ -145,14 +149,13 @@ class MetricsReport:
     rekey_count: int
 
 
-@dataclass
+@dataclass(eq=False)
 class _RsuNode:
     creds: NodeCredentials
     beacon: wire.RsuBeacon
     pos: float
     group: GroupState = field(default_factory=GroupState)
     sessions: dict[bytes, auth.AuthSession] = field(default_factory=dict)
-    member_fid_by_sender: dict[bytes, bytes] = field(default_factory=dict)
     neighbor_store: NeighborGkStore = field(default_factory=NeighborGkStore)
     session_key: GElem | None = None
     busy_until: float = 0.0
@@ -162,7 +165,7 @@ class _RsuNode:
         return self.creds.tid
 
 
-@dataclass
+@dataclass(eq=False)
 class _VehicleNode:
     creds: NodeCredentials
     legit: bool
@@ -214,6 +217,7 @@ class Simulation:
                 self.ta, b"rsu-%03d" % k, (int(pos * 100), 0), self.rng
             )
             self.rsus.append(_RsuNode(creds=creds, beacon=beacon, pos=pos))
+        self.members: dict[_RsuNode, dict[_VehicleNode, bytes]] = {r: {} for r in self.rsus}
         if cfg.n_rsus >= 2:
             keys, _, _ = run_agreement(
                 self.params, [r.creds for r in self.rsus], self.rng
@@ -401,9 +405,11 @@ class Simulation:
         """The vehicle leaves its RSU for ``new_target``, or the road if None;
         its exit is its last crossing, so it is on the road until then."""
         rsu = veh.target
+        # popped first, so that a departing member is sent no leave update
+        fid = self.members[rsu].pop(veh, None)
         if veh.joined:
             veh.prev_gk = veh.mstate.gk
-            self._rsu_evict(now, rsu, veh)
+            self._rsu_evict(now, rsu, fid)
         elif veh.legit and veh.session is not None:
             self.incomplete_associations += 1
         rsu.sessions.pop(veh.node_id, None)
@@ -411,10 +417,8 @@ class Simulation:
         veh.mstate = None
         veh.target = new_target
 
-    def _rsu_evict(self, now: float, rsu: _RsuNode, veh: _VehicleNode) -> None:
+    def _rsu_evict(self, now: float, rsu: _RsuNode, fid: bytes) -> None:
         """Departure notice reaches the RSU; rekey and notify the group."""
-        fid = veh.mstate.fid
-        rsu.member_fid_by_sender.pop(veh.node_id, None)
         if fid not in rsu.group.members:
             return
         end = self._charge(rsu, now, self.charges.leave_rekey(len(rsu.group.members)))
@@ -426,11 +430,8 @@ class Simulation:
             self._transfer_group_key(rsu, end)
 
     def _group_members(self, rsu: _RsuNode) -> list[_VehicleNode]:
-        return [
-            veh
-            for veh in self.vehicles
-            if veh.target is rsu and veh.joined and veh.mstate.fid in rsu.group.members
-        ]
+        """The joined vehicles ``rsu`` admitted, in admission order."""
+        return [veh for veh in self.members[rsu] if veh.joined]
 
     def _transfer_group_key(self, rsu: _RsuNode, depart: float) -> None:
         if rsu.session_key is None:
@@ -554,16 +555,13 @@ class Simulation:
             msg = groupcomm.broadcast(
                 self.params, veh.mstate.gk, veh.mstate.fid, payload, self.rng
             )
-            pos = self._pos(veh, now)
+            pos, near = self._pos(veh, now), self.cfg.vehicle_range_m
             receivers = [rsu] if self._in_rsu_range(rsu, pos) else []
-            for other in self.vehicles:
-                if (
-                    other.target is rsu
-                    and other is not veh
-                    and other.joined
-                    and abs(self._pos(other, now) - pos) <= self.cfg.vehicle_range_m
-                ):
-                    receivers.append(other)
+            receivers += [
+                m
+                for m in self.members[rsu]
+                if m.joined and m is not veh and abs(self._pos(m, now) - pos) <= near
+            ]
             self._send(msg, veh, receivers, end, self.charges.seal)
         self._push(now + self._jittered_interval(), Simulation._on_vehicle_broadcast, veh)
 
@@ -610,12 +608,12 @@ class Simulation:
         cost = self.charges.join_rekey(len(rsu.group.members))
         # a re-authentication from the same transport address supersedes
         # any membership left over from an abandoned earlier attempt
-        old_fid = rsu.member_fid_by_sender.get(sender.node_id)
+        old_fid = self.members[rsu].get(sender)
         if old_fid is not None and old_fid != session.fid:
             rsu.group.members.pop(old_fid, None)
         end = self._charge(rsu, now, cost)
         result = groupkey.handle_join(self.params, rsu.group, session, msg, self.rng)
-        rsu.member_fid_by_sender[sender.node_id] = session.fid
+        self.members[rsu][sender] = session.fid
         self.rekey_count += 1
         if session.state is auth.AuthState.FASTPATH_DONE:
             self.fastpath_count += 1

@@ -143,6 +143,11 @@ def test_stale_hello_rejected():
     # replay after the window is the same rejection
     with pytest.raises(StaleTimestamp):
         process_hello(ta.params, rsu, hello, 99999, 500, [], rng)
+    # a hello dated ahead of the clock gets the same window
+    with pytest.raises(StaleTimestamp):
+        process_hello(ta.params, rsu, hello, 499, 500, [], rng)
+    session, challenge = process_hello(ta.params, rsu, hello, 500, 500, [], rng)
+    assert session.fid == vs.fid and challenge is not None
 
 
 def test_hello_mac_bit_flip_rejected():

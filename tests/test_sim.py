@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -334,6 +336,78 @@ def test_rekeys_track_membership_events():
     report = sim.run()
     # every admission rekeys once; departures add more
     assert report.rekey_count >= report.auth_count + report.fastpath_count
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(n_vehicles=40),
+        ScenarioConfig(
+            road_length_m=3000.0,
+            n_rsus=6,
+            vehicle_speed_mps=35.0,
+            vehicle_range_m=100.0,
+            n_vehicles=20,
+            sim_time_s=40.0,
+        ),
+    ],
+    ids=["default-n40", "highway"],
+)
+def test_the_member_map_agrees_with_the_fleet_scans_it_replaced(monkeypatch, cfg):
+    # the references are the scans over every vehicle that the map replaced
+    calls, broadcasts, crossings = [], [], []
+
+    def joined_on(self, rsu):
+        return {veh for veh in self.vehicles if veh.target is rsu and veh.joined}
+
+    def checking_group_members(self, rsu):
+        members = group_members(self, rsu)
+        expected = {veh for veh in joined_on(self, rsu) if veh.mstate.fid in rsu.group.members}
+        assert len(members) == len(set(members)) and set(members) == expected
+        calls.append(len(members))
+        return members
+
+    def checking_broadcast(self, now, veh):
+        if veh.on_road:
+            # a broadcast reaches the joined vehicles of the map within range
+            joined = joined_on(self, veh.target)
+            assert {m for m in self.members[veh.target] if m.joined} == joined
+            broadcasts.append(len(joined))
+        broadcast(self, now, veh)
+
+    def checking_enter_range(self, now, veh, new_target):
+        # every joined vehicle is in its RSU's map under the fid it holds,
+        # which is the fid the RSU evicts when it leaves
+        joined = [v for v in self.vehicles if v.on_road and v.joined]
+        assert all(self.members[v.target].get(v) == v.mstate.fid for v in joined)
+        crossings.append(len(joined))
+        enter_range(self, now, veh, new_target)
+
+    group_members = Simulation._group_members
+    broadcast = Simulation._on_vehicle_broadcast
+    enter_range = Simulation._on_vehicle_enter_range
+    monkeypatch.setattr(Simulation, "_group_members", checking_group_members)
+    monkeypatch.setattr(Simulation, "_on_vehicle_broadcast", checking_broadcast)
+    monkeypatch.setattr(Simulation, "_on_vehicle_enter_range", checking_enter_range)
+    sim = Simulation(cfg)
+    sim.run()
+    assert min(len(calls), len(broadcasts), len(crossings)) > 30
+    assert min(max(calls), max(broadcasts), max(crossings)) >= 3
+    assert sim.rekey_count > sim.auth_count + sim.fastpath_count  # members left
+
+
+def test_a_finished_simulation_is_freed_by_reference_counting():
+    sim = Simulation(FAST)
+    sim.run()
+    assert any(sim.members.values())  # the map still holds vehicles
+    nodes = [*sim.rsus, *sim.vehicles]
+    freed = [weakref.ref(obj) for obj in (sim, *nodes)]
+    gc.disable()  # only reference counting may free them
+    try:
+        del sim, nodes
+        assert [ref() for ref in freed] == [None] * len(freed)
+    finally:
+        gc.enable()
 
 
 def test_sweep_density_rows_and_csv(tmp_path):

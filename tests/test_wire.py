@@ -125,7 +125,7 @@ def test_labels_on_one_secret_give_distinct_channels():
     assert len(channels) == 3
 
 
-def test_mac_input_memo_keys_on_class_and_width():
+def test_mac_input_covers_the_type_tag_and_the_width():
     ct, mac = b"ct-bytes", b"\xcc" * 16
     challenge = wire.mac_input(wire.AuthChallenge(ct, mac), 4)
     confirm = wire.mac_input(wire.AuthConfirm(ct, mac), 4)

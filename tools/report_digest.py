@@ -11,9 +11,11 @@ trees give the same simulator results on every scenario below, the same
 outputs.  A scenario's digest covers
 ``repr(MetricsReport)``, the sent and delivered counts, the sorted ``drops``,
 ``incomplete_associations``, ``total_overhead_bytes`` and the kept
-``DelaySample`` list.  The eleven scenarios are the default one at
-n = 10, 20, 40, 80, the highway-churn benchmark scenario, and six small64
-runs, three of them with timestamp windows short enough to drop stale hellos.
+``DelaySample`` list in emission order, so a change in the order in which one
+delivery reaches its receivers changes it too.  The 27 scenarios are the
+criterion-8 sweep (the default scenario at n = 10, 20, 40, 80 with seeds 1 to
+5), the highway-churn benchmark scenario, and six small64 runs, three of them
+with timestamp windows short enough to drop stale hellos.
 The protocol-engine line hashes ``repr`` of the ``Outcome.digest`` of one
 round of the ``rsu-admission`` benchmark workload (``perfbench/workloads.py``,
 imported read-only) built with seed 1: every join's and leave's group key,
@@ -41,6 +43,12 @@ FAST = ScenarioConfig(crypto_profile="small64", n_vehicles=6, n_rsus=2, rng_seed
 
 SCENARIOS: dict[str, ScenarioConfig] = {
     **{f"default-n{n}": ScenarioConfig(n_vehicles=n) for n in (10, 20, 40, 80)},
+    # the rest of the criterion-8 sweep of tests/test_acceptance.py
+    **{
+        f"default-seed{seed}-n{n}": ScenarioConfig(rng_seed=seed, n_vehicles=n)
+        for seed in (2, 3, 4, 5)
+        for n in (10, 20, 40, 80)
+    },
     # the highway-churn workload of perfbench/workloads.py
     "highway-churn": ScenarioConfig(
         road_length_m=6000.0,
