@@ -606,8 +606,8 @@ class Simulation:
         if session is None or not auth.is_authenticated(session):
             return None
         cost = self.charges.join_rekey(len(rsu.group.members))
-        # a re-authentication from the same transport address supersedes
-        # any membership left over from an abandoned earlier attempt
+        # a re-authentication of the same vehicle supersedes any
+        # membership left over from an abandoned earlier attempt
         old_fid = self.members[rsu].get(sender)
         if old_fid is not None and old_fid != session.fid:
             rsu.group.members.pop(old_fid, None)
