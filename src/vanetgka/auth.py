@@ -40,20 +40,17 @@ from .crypto import (
     SystemParams,
     kdf,
     rand_zq_star,
-    schnorr_verify,
     sym_decrypt,
     sym_encrypt,
 )
 from .errors import (
     DecryptFail,
     KeyConfirmFail,
-    LocHashMismatch,
     MacFail,
-    SigFail,
     StateError,
     StaleTimestamp,
 )
-from .registry import NodeCredentials, VehicleEpoch, location_hash
+from .registry import NodeCredentials, VehicleEpoch, verify_beacon
 from .wire import Channel
 
 GK_FID_CT_LEN = SYM_NONCE_LEN + PSEUDONYM_LEN  # the hello field is size-invariant
@@ -111,28 +108,6 @@ def hybrid_encrypt(
 def hybrid_decrypt(params: SystemParams, sk: Scalar, epk: GElem, ct: bytes) -> bytes:
     params.check_group_elems(epk)
     return sym_decrypt(kdf(params.g_exp(epk, sk), b"kem"), ct)
-
-
-# ---------------------------------------------------------------------------
-# Beacon
-# ---------------------------------------------------------------------------
-
-
-def verify_beacon(params: SystemParams, beacon: wire.RsuBeacon) -> None:
-    """Location-hash recomputation, then the TA signature.
-
-    The hash consistency check runs first so that an edited location is
-    reported as LocHashMismatch rather than a generic signature failure.
-    """
-    if location_hash(params, (beacon.loc_x, beacon.loc_y)) != beacon.loc_hash:
-        raise LocHashMismatch("beacon location hash mismatch")
-    if not schnorr_verify(
-        params,
-        params.pk_ta_g,
-        wire.signed_input(beacon, params.element_width),
-        (beacon.sig_c, beacon.sig_s),
-    ):
-        raise SigFail("beacon signature invalid")
 
 
 def start_vehicle_auth(

@@ -29,9 +29,10 @@ from .crypto import (
     json_int,
     rand_zq_star,
     schnorr_sign,
+    schnorr_verify,
     xor_bytes,
 )
-from .errors import DuplicateIdentity, TraceMismatch
+from .errors import DuplicateIdentity, LocHashMismatch, SigFail, TraceMismatch
 
 ROLE_RSU = "rsu"
 ROLE_VEHICLE = "vehicle"
@@ -90,6 +91,16 @@ def _check_new_tid(ta: TaState, tid: bytes) -> None:
 def location_hash(params: SystemParams, loc: tuple[int, int]) -> Scalar:
     """The beacon's hash of its location, in centimeters."""
     return params.hash_to_scalar(wire.pack(("i64", "i64"), loc, params.element_width))
+
+
+def verify_beacon(params: SystemParams, beacon: wire.RsuBeacon) -> None:
+    """Location-hash recomputation, then the TA signature: an edited location
+    is reported as LocHashMismatch rather than a generic signature failure."""
+    if location_hash(params, (beacon.loc_x, beacon.loc_y)) != beacon.loc_hash:
+        raise LocHashMismatch("beacon location hash mismatch")
+    signed = wire.signed_input(beacon, params.element_width)
+    if not schnorr_verify(params, params.pk_ta_g, signed, (beacon.sig_c, beacon.sig_s)):
+        raise SigFail("beacon signature invalid")
 
 
 def register_rsu(
@@ -245,9 +256,29 @@ def _check_role(params: SystemParams, creds: NodeCredentials, what: str) -> None
         raise ValueError(f"{what} role must be rsu or vehicle, got {creds.role!r}")
 
 
+def _check_beacon(
+    params: SystemParams, creds: NodeCredentials, data: bytes, what: str
+) -> wire.RsuBeacon:
+    """The beacon ``data`` encodes; ValueError naming ``what`` unless it is
+    an RsuBeacon of this RSU's pk and loc that passes ``verify_beacon``."""
+    if creds.role != ROLE_RSU:
+        raise ValueError(f"{what} is a vehicle with a beacon")
+    beacon = wire.decode_message(data, params.element_width)
+    if type(beacon) is not wire.RsuBeacon or (
+        (beacon.pk_rsu, beacon.loc_x, beacon.loc_y) != (creds.pk, *creds.loc)
+    ):
+        raise ValueError(f"{what} beacon is not an RsuBeacon of its pk and loc")
+    try:
+        verify_beacon(params, beacon)
+    except (LocHashMismatch, SigFail) as e:
+        raise ValueError(f"{what} beacon: {e}") from None
+    return beacon
+
+
 def load_ta(directory: Path | str) -> TaState:
-    """The TA that ``save_ta`` wrote; a field of the wrong JSON shape or an
-    inconsistent key is a ValueError that names it."""
+    """The TA that ``save_ta`` wrote; a field of the wrong JSON shape, an
+    inconsistent key, a tid listed twice or a beacon that is not the node's
+    own is a ValueError that names it."""
     directory = Path(directory)
     registry = _json(json.loads((directory / "registry.json").read_text()), dict, "registry")
     keystore = _json(json.loads((directory / "keystore.json").read_text()), dict, "keystore")
@@ -267,6 +298,8 @@ def load_ta(directory: Path | str) -> TaState:
                 raise ValueError(f"{what} loc must be [x, y], got {loc!r}")
             loc = tuple(json_int(c, f"{what} loc") for c in loc)
         tid = bytes.fromhex(name)
+        if tid in ta.registry:
+            raise ValueError(f"{what} is listed twice")
         creds = NodeCredentials(
             tid=tid,
             role=node["role"],
@@ -282,5 +315,5 @@ def load_ta(directory: Path | str) -> TaState:
         ta.registry[tid] = creds
         if node.get("beacon"):
             beacon = bytes.fromhex(_json(node["beacon"], str, f"{what} beacon"))
-            ta.beacons[tid] = wire.decode_message(beacon, params.element_width)
+            ta.beacons[tid] = _check_beacon(params, creds, beacon, what)
     return ta

@@ -60,8 +60,9 @@ session key (group-key transfer, ``sk``). The MAC covers ``mac_input``, the
 message's encoding with its final 16 bytes zeroed. ``Channel.seal`` takes the
 body's values and ``Channel.open`` returns them; a body that is not exactly
 its ``BODY`` raises ``DecryptFail``. Every receiver of a group message opens it
-under the same channel, so ``open`` memoizes its outcome, success or failure,
-for the last 64 distinct (channel, width, message) inputs.
+under the same channel, so the message keeps each outcome of ``open``, success
+or failure, by (channel, width) as ``_opened`` in its instance ``__dict__``.
+Like ``_encoding`` it is no field, and it is freed with the message.
 """
 
 from __future__ import annotations
@@ -577,33 +578,23 @@ class Channel(NamedTuple):
         """Check the MAC, decrypt ``msg.ct`` and return its ``BODY`` values;
         DecryptFail if the plaintext does not frame exactly.
 
-        A rejection is raised as a new exception on every call, with the
-        class and text of the first check of this channel and message."""
-        body, error = _open_outcome(self, element_width, msg)
+        The message keeps each outcome (see the module docstring); a
+        rejection is kept as its class and text and raised anew on every
+        call, so its traceback does not grow with each raise."""
+        opened = msg.__dict__.setdefault("_opened", {})
+        outcome = opened.get((self, element_width))
+        if outcome is None:
+            try:
+                self.check(element_width, msg)
+                outcome = unpack(msg.BODY, sym_decrypt(self.enc_key, msg.ct), element_width), None
+            except (MacFail, DecryptFail) as e:
+                outcome = None, (type(e), str(e))
+            opened[self, element_width] = outcome
+        body, error = outcome
         if error is not None:
             cls, text = error
             raise cls(text)
         return body
-
-
-@lru_cache(maxsize=64)
-def _open_outcome(channel: Channel, element_width: int, msg: WireMessage) -> tuple:
-    """``(body, None)``, or ``(None, (error class, message))`` for a rejection.
-
-    Memoized by value: all receivers of one send open it back to back, so the
-    ones under the same key share one MAC check and one decryption, and those
-    under the same stale key share one MAC failure. The receivers of one send
-    can hold dozens of distinct stale keys: in a density-sweep round an entry
-    is reused after at most 36 other inputs, so 64 entries keep every reuse
-    (16 lose 351 of its 32,428). Later sends overwrite them long before a run
-    that replays the same secrets could reuse them. A failure is stored as its
-    class and text, not as an exception, whose traceback would grow with every
-    raise."""
-    try:
-        channel.check(element_width, msg)
-        return unpack(msg.BODY, sym_decrypt(channel.enc_key, msg.ct), element_width), None
-    except (MacFail, DecryptFail) as e:
-        return None, (type(e), str(e))
 
 
 def describe(msg: WireMessage) -> str:

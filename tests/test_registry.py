@@ -272,3 +272,44 @@ def test_load_ta_rejects_a_node_whose_role_does_not_match_its_keys(tmp_path):
     keystore_path.write_text(json.dumps(keystore))
     with pytest.raises(ValueError, match="node 727375 is an rsu without its sk, pk and loc"):
         load_ta(tmp_path)
+
+
+def test_load_ta_rejects_a_beacon_that_is_not_the_nodes_own(tmp_path):
+    import json
+    import re
+    from dataclasses import replace
+
+    from vanetgka import wire
+    from wiregen import random_message
+
+    ta = ta_init("small64", random.Random(26))
+    width = ta.params.element_width
+    register_rsu(ta, b"rsu", (0, 0), random.Random(27))
+    register_rsu(ta, b"usr", (50_000, 0), random.Random(28))
+    register_vehicle(ta, b"veh")
+    save_ta(ta, tmp_path)
+    path = tmp_path / "registry.json"
+    saved = json.loads(path.read_text())
+    rsu, usr, veh = saved["nodes"]
+    beacon = ta.beacons[b"rsu"]
+
+    def encoded(msg) -> str:
+        return wire.encode_message(msg, width).hex()
+
+    transfer = random_message(wire.GroupKeyTransfer, random.Random(29), width)
+    forged = replace(beacon, sig_s=(beacon.sig_s + 1) % ta.params.q)
+    moved = replace(beacon, loc_x=100)
+    not_own = "node 727375 beacon is not an RsuBeacon of its pk and loc"
+    for nodes, message in (
+        ([{**rsu, "beacon": usr["beacon"]}, usr, veh], not_own),
+        ([{**rsu, "beacon": encoded(transfer)}, usr, veh], not_own),
+        ([{**rsu, "beacon": encoded(forged)}, usr, veh], "node 727375 beacon: beacon signature"),
+        ([{**rsu, "loc": [100, 0], "beacon": encoded(moved)}, usr, veh], "location hash"),
+        ([rsu, usr, {**veh, "beacon": rsu["beacon"]}], "node 766568 is a vehicle with a beacon"),
+        ([rsu, usr, veh, {**rsu, "loc": [7, 7], "beacon": None}], "node 727375 is listed twice"),
+    ):
+        path.write_text(json.dumps({**saved, "nodes": nodes}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_ta(tmp_path)
+    path.write_text(json.dumps(saved))
+    assert load_ta(tmp_path).beacons == ta.beacons

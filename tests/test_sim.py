@@ -18,6 +18,7 @@ from vanetgka.sim import (
     sweep_density,
     write_sweep_csv,
 )
+from wiregen import count_crypto_calls
 
 # the small64 profile keeps unit-test runs quick; the acceptance suite
 # also exercises the default profile
@@ -197,6 +198,27 @@ def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
     # in send order: one drop, then one sample per receiver that holds the key
     assert sim.drops.total() == drops + 1
     assert [s.receiver for s in sim.samples[samples:]] == [v.node_id for v in receivers[1:]]
+
+
+def test_one_broadcast_to_receivers_under_one_key_is_one_hmac_and_one_decryption(monkeypatch):
+    # every receiver of one delivery is handed the one decoded copy, which
+    # keeps the outcome of its first open
+    sim = Simulation(dataclasses.replace(FAST, n_vehicles=10), keep_samples=True)
+    sim.run()
+    veh = _joined_vehicle(sim)
+    receivers = tuple(v for v in sim.vehicles if v is not veh and v.on_road and v.joined)
+    assert len(receivers) >= 3
+    for v in receivers:
+        v.mstate.gk = veh.mstate.gk
+    msg = groupcomm.broadcast(sim.params, veh.mstate.gk, veh.mstate.fid, b"payload", sim.rng)
+    calls = count_crypto_calls(monkeypatch)
+    sim._heap.clear()
+    drops, samples = sim.drops.total(), len(sim.samples)
+    sim._send(msg, veh, receivers, sim.end_ms - 10.0, 0.5)
+    sim.run()
+    assert sim.drops.total() == drops
+    assert [s.receiver for s in sim.samples[samples:]] == [v.node_id for v in receivers]
+    assert calls == {"hmac_tag": 1, "sym_decrypt": 1}
 
 
 def test_a_group_key_transfer_is_one_send_to_every_other_rsu(monkeypatch):

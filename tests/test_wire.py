@@ -1,8 +1,8 @@
+import gc
 import random
 import traceback
 import tracemalloc
 import weakref
-from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vanetgka import auth, wire
 from vanetgka.crypto import get_profile, kdf, sym_encrypt
 from vanetgka.errors import DecryptFail, MacFail
-from wiregen import random_message
+from wiregen import count_crypto_calls, random_message
 
 WIDTHS = [1, 8, 33]
 
@@ -145,7 +145,7 @@ def test_mac_input_raises_on_every_call_for_a_class_without_mac():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (wire.Channel.derive, wire._open_outcome, auth.gk_fid_key):
+    for cached in (wire.Channel.derive, auth.gk_fid_key):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
 
@@ -320,19 +320,6 @@ def test_channel_open_rejects_a_misframed_body():
 # --- memoized open ---------------------------------------------------------------
 
 
-def count_crypto_calls(monkeypatch) -> Counter:
-    """Count the HMACs and decryptions that ``wire`` makes from now on."""
-    calls = Counter()
-    for name in ("hmac_tag", "sym_decrypt"):
-
-        def counted(*args, _real=getattr(wire, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(wire, name, counted)
-    return calls
-
-
 def group_broadcast(secret: int, seed: int) -> wire.GroupBroadcast:
     channel = wire.Channel.derive(secret, b"gk")
     return channel.seal(8, wire.GroupBroadcast, (bytes(42), b"payload"), random.Random(seed))
@@ -340,10 +327,9 @@ def group_broadcast(secret: int, seed: int) -> wire.GroupBroadcast:
 
 def test_receivers_under_one_key_make_one_hmac_and_one_decryption(monkeypatch):
     msg = group_broadcast(1001, seed=30)
-    data = wire.encode_message(msg, 8)
+    copy = wire.decode_message(wire.encode_message(msg, 8), 8)
     calls = count_crypto_calls(monkeypatch)
-    for _ in range(10):  # each receiver decodes its own copy
-        copy = wire.decode_message(data, 8)
+    for _ in range(10):  # every receiver is handed the one decoded copy
         assert wire.Channel.derive(1001, b"gk").open(8, copy) == (bytes(42), b"payload")
     assert calls == {"hmac_tag": 1, "sym_decrypt": 1}
 
@@ -361,6 +347,25 @@ def test_receivers_under_a_wrong_key_each_get_a_new_mac_fail(monkeypatch):
     assert len({id(e) for e in errors}) == 10
     # a re-raised cached exception would carry a longer traceback each time
     assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
+
+
+def test_an_opened_message_is_freed_with_its_last_reference():
+    channel = wire.Channel.derive(1007, b"gk")
+    stale = wire.Channel.derive(1008, b"gk")
+    gc.disable()
+    try:
+        for opener, raised in ((channel, None), (stale, MacFail)):
+            msg = wire.decode_message(wire.encode_message(group_broadcast(1007, seed=33), 8), 8)
+            if raised is None:
+                assert opener.open(8, msg) == (bytes(42), b"payload")
+            else:
+                with pytest.raises(raised):
+                    opener.open(8, msg)
+            ref = weakref.ref(msg)
+            del msg
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_forged_copy_still_fails_after_the_genuine_message_opened():

@@ -1,6 +1,8 @@
-"""Random wire-message generators shared by the codec and acceptance tests."""
+"""Random wire-message generators shared by the codec and acceptance tests,
+and a counter of the crypto calls the codec makes."""
 
 import random
+from collections import Counter
 
 from vanetgka import wire
 
@@ -48,3 +50,16 @@ def random_message(cls, rng: random.Random, width: int):
     if cls is wire.UplinkMessage:
         return cls(fid(), var(), mac())
     raise AssertionError(f"no generator for {cls}")
+
+
+def count_crypto_calls(monkeypatch) -> Counter:
+    """Count the HMACs and decryptions that ``wire`` makes from now on."""
+    calls = Counter()
+    for name in ("hmac_tag", "sym_decrypt"):
+
+        def counted(*args, _real=getattr(wire, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(wire, name, counted)
+    return calls
