@@ -312,7 +312,7 @@ def test_channel_open_rejects_a_misframed_body():
     assert channel.open(8, channel.seal(8, wire.GroupKeyNotice, (5,), rng, 1)) == (5,)
     for plain in (bytes(7), bytes(9)):
         msg = channel.tag(8, wire.GroupKeyNotice, 1, sym_encrypt(channel.enc_key, plain, rng))
-        for _ in range(2):  # the second from the open memo
+        for _ in range(2):  # the second from the kept outcome
             with pytest.raises(DecryptFail):
                 channel.open(8, msg)
 
