@@ -102,13 +102,14 @@ SYM_DECRYPT_MS = 0.01
 
 
 class StepCharges:
-    """Compute charge per protocol step, in milliseconds.  A full RSU-side
+    """Compute charge per protocol step, in milliseconds, from the primitive
+    timings and ``SYM_DECRYPT_MS`` per decryption.  A full RSU-side
     admission (``hello_full + confirm_verify``) and ``confirm_create`` are the
     "ours" rows at n = 1 plus HMACs and decryptions; ``hello_fast`` is a
     fast-path re-admission."""
 
-    def __init__(self, t: PrimitiveTimings, sym_decrypt_ms: float):
-        sym = sym_decrypt_ms
+    def __init__(self, t: PrimitiveTimings):
+        sym = SYM_DECRYPT_MS
         self.beacon_verify = 2 * t.t_mul
         self.epoch_refresh = 2 * t.t_mul
         self.hello_create = 2 * t.t_mul + t.t_hmac + 2 * sym
@@ -142,7 +143,6 @@ def effective_rsu_delay(
     illegal_fraction: float,
     reauth_fraction: float,
     timings: PrimitiveTimings,
-    sym_decrypt_ms: float = SYM_DECRYPT_MS,
 ) -> float:
     """RSU-side delay for n arrivals when the fast path serves the rest.
 
@@ -156,7 +156,7 @@ def effective_rsu_delay(
         raise ValueError("fraction sum exceeds 1")
     full = verification_delay("ours", RSU, 1, timings)
     slow = illegal_fraction + reauth_fraction
-    return n * (slow * full + (1 - slow) * StepCharges(timings, sym_decrypt_ms).hello_fast)
+    return n * (slow * full + (1 - slow) * StepCharges(timings).hello_fast)
 
 
 def transmission_overhead(scheme: str, n: int) -> int:

@@ -153,9 +153,9 @@ def _draw_unsent_nonces(rng: random.Random, count: int) -> None:
     notice. Drawing the nonces of the seals left out keeps the rng stream,
     and so every simulator report, byte-identical to sealing them all, until
     the group-key desync fix (ROADMAP item 1) re-pins the reports and deletes
-    these draws."""
-    for _ in range(count):
-        rng.randbytes(SYM_NONCE_LEN)
+    these draws. Each nonce is whole 32-bit words of the generator, so one
+    draw of all ``count`` nonces leaves it where ``count`` draws would."""
+    rng.randbytes(SYM_NONCE_LEN * count)
 
 
 def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> RekeyResult:

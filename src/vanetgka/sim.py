@@ -54,7 +54,7 @@ from itertools import pairwise
 from pathlib import Path
 
 from . import auth, groupcomm, groupkey, wire
-from .costs import SYM_DECRYPT_MS, DelayMean, DelaySample, PrimitiveTimings, StepCharges
+from .costs import DelayMean, DelaySample, PrimitiveTimings, StepCharges
 from .crypto import GElem
 from .errors import ProtocolError
 from .gka import run_agreement
@@ -200,7 +200,7 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
-        self.charges = StepCharges(cfg.timings, SYM_DECRYPT_MS)
+        self.charges = StepCharges(cfg.timings)
         self.trace = os.environ.get("SIM_LOG") == "trace"
         self.keep_samples = keep_samples
         self.samples = []
@@ -418,9 +418,13 @@ class Simulation:
         veh.target = new_target
 
     def _rsu_evict(self, now: float, rsu: _RsuNode, fid: bytes) -> None:
-        """Departure notice reaches the RSU; rekey and notify the group."""
-        if fid not in rsu.group.members:
-            return
+        """Departure notice reaches the RSU; rekey and notify the group.
+
+        Called only for a joined vehicle, with the fid popped from its
+        entry of ``members[rsu]``: the fid it joined under, which
+        ``rsu.group.members`` still holds. The group drops a fid only here or
+        when the same vehicle's next offer supersedes it, and a vehicle that
+        offers again is not joined until it derives the key that offer buys."""
         end = self._charge(rsu, now, self.charges.leave_rekey(len(rsu.group.members)))
         _, update = groupkey.handle_leave(self.params, rsu.group, fid, self.rng)
         self.rekey_count += 1
@@ -452,17 +456,16 @@ class Simulation:
         create_cost: float,
         tx: float,
     ) -> None:
-        """The one delivery path (see the module docstring)."""
+        """The one delivery path (see the module docstring); every receiver
+        kind has a handler for every message type a send gives it."""
         for node in receivers:
             self.messages_delivered += 1
             if type(node) is _VehicleNode:
                 if not node.on_road:
                     continue
-                handler = _VEHICLE_HANDLERS.get(type(msg))
+                handler = _VEHICLE_HANDLERS[type(msg)]
             else:
-                handler = _RSU_HANDLERS.get(type(msg))
-            if handler is None:
-                continue
+                handler = _RSU_HANDLERS[type(msg)]
             try:
                 end = handler(self, now, node, msg, sender)
             except ProtocolError as exc:
@@ -645,9 +648,9 @@ class Simulation:
         return end
 
 
-# Delivery handlers by receiver kind and message type. Unbound methods, so that
-# a Simulation holds no table of bound methods (a reference cycle per instance);
-# a message type missing from a table is ignored by that kind of receiver.
+# Delivery handlers by receiver kind and message type, with an entry for every
+# type that a send gives that kind of receiver. Unbound methods, so that a
+# Simulation holds no table of bound methods (a reference cycle per instance).
 _VEHICLE_HANDLERS = {
     wire.RsuBeacon: Simulation._vehicle_handle_beacon,
     wire.AuthChallenge: Simulation._vehicle_handle_challenge,

@@ -84,20 +84,12 @@ from .crypto import (
 )
 from .errors import DecryptFail, MacFail
 
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
 
 def _put_u64(v: int) -> bytes:
-    if not 0 <= v <= _U64_MAX:
-        raise ValueError(f"u64 field out of range: {v}")
     return v.to_bytes(8, "big")
 
 
 def _put_i64(v: int) -> bytes:
-    if not _I64_MIN <= v <= _I64_MAX:
-        raise ValueError(f"i64 field out of range: {v}")
     return v.to_bytes(8, "big", signed=True)
 
 
@@ -138,8 +130,6 @@ def _bytes_reader(n: int):
 
 
 def _put_var(v: bytes) -> bytes:
-    if len(v) > _U32_MAX:
-        raise ValueError("variable field too long")
     return len(v).to_bytes(4, "big") + v
 
 
@@ -158,24 +148,19 @@ def _get_var(data: bytes, pos: int) -> tuple[bytes, int]:
 def _kinds(width: int) -> dict[str, tuple]:
     """Each kind's writer and reader at element width ``width``.
 
-    A writer returns the bytes of one field; a reader takes ``(data,
-    offset)`` and returns ``(value, offset after the field)``, or raises
-    ValueError if the field runs past the end of ``data``."""
+    A writer returns the bytes of one field, or lets ``int.to_bytes`` raise
+    OverflowError for an integer or a count that does not fit (``pack``
+    turns it into ValueError); a reader takes ``(data, offset)`` and returns
+    ``(value, offset after the field)``, or raises ValueError if the field
+    runs past the end of ``data``."""
 
     def put_elem(v: int) -> bytes:
-        try:
-            return v.to_bytes(width, "big")
-        except OverflowError:
-            raise ValueError(f"element {v} does not fit width {width}") from None
+        return v.to_bytes(width, "big")
 
     def put_elem_list(vs: tuple[int, ...]) -> bytes:
-        if len(vs) > _U32_MAX:
-            raise ValueError("element list too long")
         return b"".join([len(vs).to_bytes(4, "big"), *map(put_elem, vs)])
 
     def put_shares(vs: tuple[tuple[int, bytes], ...]) -> bytes:
-        if len(vs) > _U32_MAX:
-            raise ValueError("share list too long")
         parts = [len(vs).to_bytes(4, "big")]
         for v, fid in vs:
             parts += (put_elem(v), _put_fid(fid))
@@ -425,31 +410,24 @@ MESSAGE_TYPES: tuple[type, ...] = get_args(WireMessage)
 _BY_TAG = {t.TAG: t for t in MESSAGE_TYPES}
 
 
-def _check_final(kinds: tuple[str, ...]) -> None:
-    if "mac" in kinds[:-1] or "rest" in kinds[:-1]:
-        raise ValueError(f"mac and rest may only be the final kind: {kinds}")
-
-
 @lru_cache(maxsize=128)
 def _frame(kinds: tuple[str, ...], width: int) -> tuple[tuple, tuple]:
     """The writer and the reader of each kind at ``width``, looked up once per
-    layout and width."""
-    _check_final(kinds)
+    layout and width; ValueError if mac or rest is not the final kind."""
+    if "mac" in kinds[:-1] or "rest" in kinds[:-1]:
+        raise ValueError(f"mac and rest may only be the final kind: {kinds}")
     table = _kinds(width)
     return tuple(table[k][0] for k in kinds), tuple(table[k][1] for k in kinds)
 
 
 # per class: a getter that returns the field values in layout order, and the
 # default of the kept encoding (see encode_message); a LAYOUT or BODY with mac
-# or rest anywhere but last is rejected at import
+# or rest anywhere but last is rejected by _frame when it is first framed
 for _cls in MESSAGE_TYPES:
     _names = [f.name for f in fields(_cls)]
     assert len(_names) == len(_cls.LAYOUT), _cls
     _cls._VALUES = attrgetter(*_names)
     _cls._encoding = (None, b"")
-    _check_final(_cls.LAYOUT)
-    if hasattr(_cls, "BODY"):
-        _check_final(_cls.BODY)
 
 _NO_MAC = bytes(MAC_LEN)
 
@@ -459,9 +437,13 @@ def _encode(cls: type, values: tuple, element_width: int) -> bytes:
 
 
 def pack(kinds: tuple[str, ...], values, element_width: int) -> bytes:
-    """``values`` framed by ``kinds``, with no type tag."""
+    """``values`` framed by ``kinds``, with no type tag; ValueError if an
+    integer, an element or a 4-byte count does not fit its field."""
     puts = _frame(kinds, element_width)[0]
-    return b"".join([put(v) for put, v in zip(puts, values, strict=True)])
+    try:
+        return b"".join([put(v) for put, v in zip(puts, values, strict=True)])
+    except OverflowError as e:
+        raise ValueError(f"{kinds} at element width {element_width}: {e}") from None
 
 
 def unpack(kinds: tuple[str, ...], data: bytes, element_width: int) -> tuple:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from vanetgka import costs
 from vanetgka.costs import (
-    SYM_DECRYPT_MS,
     DelaySample,
     PrimitiveTimings,
     StepCharges,
@@ -86,20 +86,23 @@ def test_negative_n_rejected():
 # --- step charges ----------------------------------------------------------------
 
 
-def test_charges_compose_to_the_cost_model():
+def test_charges_compose_to_the_cost_model(monkeypatch):
     # binary-fraction timings add exactly, so both sides agree to the bit;
     # HMAC and symmetric decryption are charges the model leaves out
     t = PrimitiveTimings(t_par=4.5, t_mul=0.625, t_mp=0.75, t_hmac=0.0)
-    charges = StepCharges(t, 0.0)
+    monkeypatch.setattr(costs, "SYM_DECRYPT_MS", 0.0)
+    charges = StepCharges(t)
     assert charges.hello_full + charges.confirm_verify == verification_delay("ours", "rsu", 1, t)
     assert charges.confirm_create == verification_delay("ours", "obu", 1, t)
     # a fast-path re-admission costs two HMACs and one decryption
-    fast = StepCharges(dataclasses.replace(t, t_hmac=0.125), 0.25).hello_fast
+    monkeypatch.setattr(costs, "SYM_DECRYPT_MS", 0.25)
+    fast = StepCharges(dataclasses.replace(t, t_hmac=0.125)).hello_fast
     assert fast == 2 * 0.125 + 0.25
 
 
-def test_rekey_charges_grow_by_two_multiplications_per_member():
-    charges = StepCharges(PrimitiveTimings(t_mul=0.5, t_hmac=0.125), 0.25)
+def test_rekey_charges_grow_by_two_multiplications_per_member(monkeypatch):
+    monkeypatch.setattr(costs, "SYM_DECRYPT_MS", 0.25)
+    charges = StepCharges(PrimitiveTimings(t_mul=0.5, t_hmac=0.125))
     assert [charges.leave_rekey(m) for m in (0, 1, 4)] == [0.5, 1.5, 4.5]
     # a join also verifies the offer and rekeys the joiner's share
     assert [charges.join_rekey(m) for m in (0, 1, 4)] == [1.875, 2.875, 5.875]
@@ -116,16 +119,17 @@ def test_effective_delay_degenerates_to_full_cost():
 
 
 def test_effective_delay_closed_form():
-    fp = StepCharges(T, SYM_DECRYPT_MS).hello_fast
+    fp = StepCharges(T).hello_fast
     assert fp == pytest.approx(2 * 0.006 + 0.01)
     assert effective_rsu_delay(100, 0.05, 0.0, T) == pytest.approx(
         5 * 11.4 + 95 * fp
     )
 
 
-def test_effective_delay_zero_cost_cases():
+def test_effective_delay_zero_cost_cases(monkeypatch):
     free_macs = PrimitiveTimings(t_hmac=0.0)
-    assert effective_rsu_delay(100, 0.0, 0.0, free_macs, sym_decrypt_ms=0.0) == 0.0
+    monkeypatch.setattr(costs, "SYM_DECRYPT_MS", 0.0)
+    assert effective_rsu_delay(100, 0.0, 0.0, free_macs) == 0.0
     assert effective_rsu_delay(0, 0.05, 0.05, T) == 0.0
 
 

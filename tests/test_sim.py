@@ -402,6 +402,8 @@ def test_the_member_map_agrees_with_the_fleet_scans_it_replaced(monkeypatch, cfg
         # which is the fid the RSU evicts when it leaves
         joined = [v for v in self.vehicles if v.on_road and v.joined]
         assert all(self.members[v.target].get(v) == v.mstate.fid for v in joined)
+        # and the RSU's group still holds that fid, so the eviction finds it
+        assert all(self.members[v.target][v] in v.target.group.members for v in joined)
         crossings.append(len(joined))
         enter_range(self, now, veh, new_target)
 

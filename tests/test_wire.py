@@ -306,6 +306,45 @@ def test_every_reader_rejects_a_field_cut_short(kind, width):
                 wire.unpack((kind,), data[:cut], width)
 
 
+@pytest.mark.parametrize(
+    "kind, width, outside, edges",
+    [
+        ("u64", 8, (-1, 2**64), (0, 2**64 - 1)),
+        ("i64", 8, (-(2**63) - 1, 2**63), (-(2**63), 2**63 - 1)),
+        *[("elem", w, (-1, 256**w), (0, 256**w - 1)) for w in WIDTHS],
+    ],
+)
+def test_pack_rejects_an_integer_that_does_not_fit_and_takes_the_edges(
+    kind, width, outside, edges
+):
+    for v in outside:
+        with pytest.raises(ValueError):
+            wire.pack((kind,), (v,), width)
+    for v in edges:
+        assert wire.unpack((kind,), wire.pack((kind,), (v,), width), width) == (v,)
+
+
+class _Sized:
+    """Claims 2**32 items, one more than a 4-byte count holds, and has none."""
+
+    def __len__(self):
+        return 2**32
+
+
+@pytest.mark.parametrize("kind", ["var", "elem_list", "shares"])
+def test_pack_rejects_a_count_that_does_not_fit_four_bytes(kind):
+    with pytest.raises(ValueError):
+        wire.pack((kind,), (_Sized(),), 8)
+
+
+def test_messages_and_seals_reject_a_field_that_does_not_fit():
+    with pytest.raises(ValueError):
+        wire.encode_message(wire.AuthHello(0, 2**64, b"", 0, b"", bytes(16)), 8)
+    channel = wire.Channel.derive(7, b"sk")
+    with pytest.raises(ValueError):
+        channel.seal(8, wire.GroupKeyTransfer, (5, -1), random.Random(1))
+
+
 def test_channel_open_rejects_a_misframed_body():
     channel = wire.Channel.derive(7, b"gk")
     rng = random.Random(3)

@@ -15,11 +15,12 @@ outputs.  A scenario's digest covers
 delivery reaches its receivers changes it too.  The 27 scenarios are the
 criterion-8 sweep (the default scenario at n = 10, 20, 40, 80 with seeds 1 to
 5), the highway-churn benchmark scenario, and six small64 runs, three of them
-with timestamp windows short enough to drop stale hellos.
+with timestamp windows short enough to drop stale hellos.  The density-sweep
+and highway-churn configurations are those of ``perfbench/workloads.py``,
+imported read-only.
 The protocol-engine line hashes ``repr`` of the ``Outcome.digest`` of one
-round of the ``rsu-admission`` benchmark workload (``perfbench/workloads.py``,
-imported read-only) built with seed 1: every join's and leave's group key,
-every rejection and the group-key transfer.
+round of the ``rsu-admission`` benchmark workload built with seed 1: every
+join's and leave's group key, every rejection and the group-key transfer.
 """
 
 from __future__ import annotations
@@ -37,27 +38,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from vanetgka.cli import main as cli_main  # noqa: E402
 from vanetgka.sim import ScenarioConfig, Simulation  # noqa: E402
-from workloads import RsuAdmission  # noqa: E402
+from workloads import DENSITY_SWEEP, HIGHWAY_CHURN, RsuAdmission  # noqa: E402
 
 FAST = ScenarioConfig(crypto_profile="small64", n_vehicles=6, n_rsus=2, rng_seed=3)
 
 SCENARIOS: dict[str, ScenarioConfig] = {
-    **{f"default-n{n}": ScenarioConfig(n_vehicles=n) for n in (10, 20, 40, 80)},
+    # the density-sweep workload: the default scenario at n = 10, 20, 40, 80
+    **{f"default-n{cfg.n_vehicles}": cfg for cfg in DENSITY_SWEEP.configs},
     # the rest of the criterion-8 sweep of tests/test_acceptance.py
     **{
-        f"default-seed{seed}-n{n}": ScenarioConfig(rng_seed=seed, n_vehicles=n)
+        f"default-seed{seed}-n{cfg.n_vehicles}": replace(cfg, rng_seed=seed)
         for seed in (2, 3, 4, 5)
-        for n in (10, 20, 40, 80)
+        for cfg in DENSITY_SWEEP.configs
     },
-    # the highway-churn workload of perfbench/workloads.py
-    "highway-churn": ScenarioConfig(
-        road_length_m=6000.0,
-        n_rsus=12,
-        vehicle_speed_mps=35.0,
-        vehicle_range_m=100.0,
-        n_vehicles=40,
-        sim_time_s=120.0,
-    ),
+    "highway-churn": HIGHWAY_CHURN.configs[0],
     "small64-n20-illegal20-delta10": replace(
         FAST, n_vehicles=20, illegal_fraction=0.2, delta_max_ms=10.0, sim_time_s=5.0, rng_seed=1
     ),
