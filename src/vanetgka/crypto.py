@@ -39,6 +39,14 @@ bring its own fixed-base method.
 Symmetric primitives: a counter-mode keystream cipher built from SHA-256,
 HMAC-SHA-256 truncated to 16 bytes, and an HMAC-based KDF producing
 32-byte keys.
+
+Both HMAC users start from the key's inner and outer SHA-256 states, its two
+pad blocks already hashed (RFC 2104, section 4), which halves the cost of a
+short MAC. The states are kept in a memo keyed by the key bytes and bounded
+at 256 keys, the bound of ``wire.Channel.derive``, whose channels make nearly
+every MAC: group and channel keys are reused across many messages. The memo
+holds only bytes and hash states, so it keeps no message or parameters
+object alive.
 """
 
 from __future__ import annotations
@@ -396,7 +404,7 @@ def kdf(value: int, context: bytes) -> bytes:
     """32-byte key from a group element or scalar; contexts separate uses."""
     n = max(1, (value.bit_length() + 7) // 8)
     key = hashlib.sha256(b"kdf:" + context).digest()
-    return _hmac.digest(key, value.to_bytes(n, "big"), "sha256")
+    return _hmac_sha256(key, value.to_bytes(n, "big"))
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -421,7 +429,34 @@ def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
 
 def hmac_tag(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 truncated to the 16-byte wire width."""
-    return _hmac.digest(key, data, "sha256")[:MAC_LEN]
+    return _hmac_sha256(key, data)[:MAC_LEN]
+
+
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@lru_cache(maxsize=256)
+def _hmac_states(key: bytes):
+    """SHA-256 states after K xor ipad and K xor opad, where K is ``key``
+    (hashed first if longer than a block) zero-padded to the 64-byte block:
+    HMAC's two pad blocks, hashed once per key (RFC 2104, section 4)."""
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _hmac_sha256(key: bytes, data: bytes) -> bytes:
+    """HMAC-SHA-256 of ``data`` under ``key``, continuing copies of the key's
+    kept states; the kept states themselves are never updated."""
+    inner, outer = _hmac_states(key)
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def macs_equal(a: bytes, b: bytes) -> bool:

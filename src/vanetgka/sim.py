@@ -29,6 +29,9 @@ An RSU's members are the joined vehicles in ``Simulation.members[rsu]``
 (vehicle node -> the fid it was admitted under, in admission order), which an
 offer sets and a crossing pops; its notices, leave updates and group
 broadcasts reach them.  The map is not held by a node, so nodes form no cycle.
+Its beacons go to the vehicles in ``Simulation.served[rsu]``: those whose
+``target`` it is, in fleet order, since each beacon send draws from the
+generator through its receiver's handler.
 
 Every entry a handler pushes lies strictly after the time it runs at, so
 simulated time never goes backwards.  All randomness flows from one
@@ -48,6 +51,7 @@ import math
 import os
 import random
 import sys
+from bisect import insort
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import pairwise
@@ -243,6 +247,9 @@ class Simulation:
                     pos0=self.rng.uniform(0, cfg.road_length_m),
                 )
             )
+        self._fleet_rank = {veh: i for i, veh in enumerate(self.vehicles)}
+        # each RSU's on-road vehicles, those with it as target, in fleet order
+        self.served: dict[_RsuNode, list[_VehicleNode]] = {r: [] for r in self.rsus}
 
         # metrics
         self.auth_count = 0
@@ -289,6 +296,7 @@ class Simulation:
             self._push(phase, Simulation._on_beacon, rsu)
         for veh in self.vehicles:
             veh.target = min(self.rsus, key=lambda rsu: abs(rsu.pos - veh.pos0))
+            self.served[veh.target].append(veh)
             for t_ms, new_target in self._crossings(veh):
                 if t_ms <= self.end_ms:
                     self._push(t_ms, Simulation._on_vehicle_enter_range, veh, new_target)
@@ -394,7 +402,7 @@ class Simulation:
         return veh.session is None or stalled
 
     def _on_beacon(self, now: float, rsu: _RsuNode) -> None:
-        for veh in self.vehicles:
+        for veh in self.served[rsu]:
             if self._needs_auth(veh, rsu, now) and self._in_rsu_range(rsu, self._pos(veh, now)):
                 self._send(rsu.beacon, rsu, (veh,), now, 0.0)
         self._push(now + self.cfg.broadcast_interval_ms, Simulation._on_beacon, rsu)
@@ -416,6 +424,9 @@ class Simulation:
         veh.session = None
         veh.mstate = None
         veh.target = new_target
+        self.served[rsu].remove(veh)
+        if new_target is not None:
+            insort(self.served[new_target], veh, key=self._fleet_rank.__getitem__)
 
     def _rsu_evict(self, now: float, rsu: _RsuNode, fid: bytes) -> None:
         """Departure notice reaches the RSU; rekey and notify the group.

@@ -506,6 +506,35 @@ def test_hmac_bit_flip_sensitivity():
         data[i] ^= bit
 
 
+def test_hmac_tag_matches_the_standard_library():
+    # keys on either side of the 32-byte digest and the 64-byte block, which
+    # longer keys are hashed to fit; data on either side of the 55 bytes that
+    # fit in one block with SHA-256's padding
+    rng = random.Random(11)
+    for key_len in (0, 1, 31, 32, 33, 63, 64, 65, 100, 200):
+        key = rng.randbytes(key_len)
+        for data_len in (0, 1, 55, 56, 63, 64, 65, 300, 1000):
+            data = rng.randbytes(data_len)
+            assert hmac_tag(key, data) == hmac.digest(key, data, "sha256")[:MAC_LEN]
+
+
+def test_hmac_rfc_4231_test_case_2():
+    tag = hmac_tag(b"Jefe", b"what do ya want for nothing?")
+    assert tag == bytes.fromhex("5bdcc146bf60754e6a042426089575c7")
+
+
+def test_kept_hmac_states_are_not_updated_by_their_users():
+    keys = [kdf(1, b"mac"), kdf(2, b"mac")]
+    first = {key: hmac_tag(key, b"first") for key in keys}
+    derived = kdf(3, b"enc")
+    for i in range(5):
+        for key in keys:
+            hmac_tag(key, b"other data %d" % i)
+            kdf(i, key)
+            assert kdf(3, b"enc") == derived
+            assert hmac_tag(key, b"first") == first[key]
+
+
 # --- parameters -------------------------------------------------------------------
 
 

@@ -360,7 +360,7 @@ def test_rekeys_track_membership_events():
     assert report.rekey_count >= report.auth_count + report.fastpath_count
 
 
-@pytest.mark.parametrize(
+fleet_scan_cfgs = pytest.mark.parametrize(
     "cfg",
     [
         ScenarioConfig(n_vehicles=40),
@@ -375,6 +375,9 @@ def test_rekeys_track_membership_events():
     ],
     ids=["default-n40", "highway"],
 )
+
+
+@fleet_scan_cfgs
 def test_the_member_map_agrees_with_the_fleet_scans_it_replaced(monkeypatch, cfg):
     # the references are the scans over every vehicle that the map replaced
     calls, broadcasts, crossings = [], [], []
@@ -418,6 +421,29 @@ def test_the_member_map_agrees_with_the_fleet_scans_it_replaced(monkeypatch, cfg
     assert min(len(calls), len(broadcasts), len(crossings)) > 30
     assert min(max(calls), max(broadcasts), max(crossings)) >= 3
     assert sim.rekey_count > sim.auth_count + sim.fastpath_count  # members left
+
+
+@fleet_scan_cfgs
+def test_the_beacon_index_agrees_with_the_fleet_scan_it_replaced(monkeypatch, cfg):
+    # a beacon's candidates are the vehicles targeting its RSU, in fleet order,
+    # since every beacon send draws from the generator through its receiver
+    sizes, served_by = [], {}
+
+    def checking_beacon(self, now, rsu):
+        assert self.served[rsu] == [v for v in self.vehicles if v.target is rsu]
+        sizes.append(len(self.served[rsu]))
+        for veh in self.served[rsu]:
+            served_by.setdefault(veh, set()).add(rsu)
+        beacon(self, now, rsu)
+
+    beacon = Simulation._on_beacon
+    monkeypatch.setattr(Simulation, "_on_beacon", checking_beacon)
+    sim = Simulation(cfg)
+    sim.run()
+    assert len(sizes) > 30 and max(sizes) >= 3
+    # vehicles crossed between RSUs and left the road
+    assert max(map(len, served_by.values())) >= 2
+    assert any(v.target is None for v in sim.vehicles)
 
 
 def test_a_finished_simulation_is_freed_by_reference_counting():

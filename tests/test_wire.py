@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetgka import auth, wire
-from vanetgka.crypto import get_profile, kdf, sym_encrypt
+from vanetgka.crypto import _hmac_states, get_profile, kdf, sym_encrypt
 from vanetgka.errors import DecryptFail, MacFail
 from wiregen import count_crypto_calls, random_message
 
@@ -145,7 +145,7 @@ def test_mac_input_raises_on_every_call_for_a_class_without_mac():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (wire.Channel.derive, auth.gk_fid_key):
+    for cached in (wire.Channel.derive, auth.gk_fid_key, _hmac_states):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
 
