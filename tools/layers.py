@@ -67,7 +67,6 @@ def trace(configs: list[dict]):
                 sim.run()
                 setup_s += t1 - t0
                 run_s += time.perf_counter() - t1
-                del sim
     finally:
         Simulation._on_delivery = deliver
     return tracer.stats, dict(by_type), setup_s, run_s
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
     configs = args.configs or [{}]
     try:
         stats, by_type, setup_s, run_s = trace(configs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
