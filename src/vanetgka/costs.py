@@ -11,7 +11,11 @@ side), and n = 0 means no work at all.
 that cannot present a transferred group key (illegal ones plus a
 configurable re-authentication fraction) pay the full per-vehicle
 verification cost; everyone else costs two HMACs and a symmetric
-decryption.
+decryption. It is the one function here that no run calls: it is the
+paper's fast-path model, and criterion 6 checks it against the
+simulator's charge.
+
+``DelayMean`` is the message-delay metric the simulator reports.
 """
 
 from __future__ import annotations
@@ -187,8 +191,10 @@ class DelaySample:
 
 
 class DelayMean:
-    """Mean over creators of the per-creator mean message delay, kept as a
-    running (total, count) per creator rather than as samples."""
+    """Mean over creators of the per-creator mean message delay, where a
+    message's delay is its creation, transmission and verification time.
+    It keeps a running (total, count) per creator rather than the samples,
+    and adds them in the order they came."""
 
     def __init__(self) -> None:
         self._per_creator: dict[Hashable, tuple[float, int]] = {}
@@ -204,19 +210,6 @@ class DelayMean:
         if not self._per_creator:
             return None
         return sum(t / c for t, c in self._per_creator.values()) / len(self._per_creator)
-
-
-def average_delay(samples: Iterable[DelaySample]) -> float:
-    """Mean over creators of the per-creator mean message delay."""
-    mean = DelayMean()
-    for s in samples:
-        if min(s.t_create, s.t_transmit, s.t_verify) < 0:
-            raise ValueError("delay components must be nonnegative")
-        mean.add(s.creator, s.t_create, s.t_transmit, s.t_verify)
-    value = mean.value()
-    if value is None:
-        raise ValueError("no delay samples")
-    return value
 
 
 # ---------------------------------------------------------------------------

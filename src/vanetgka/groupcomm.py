@@ -13,6 +13,12 @@ The pairwise key comes straight out of the share directory: each side
 raises the peer's blinded share to its own lambda, and commutativity of
 exponentiation makes both ends agree.
 
+Only the broadcast runs in the simulator and the benchmark.  The uplink,
+directory and peer functions have no caller but the tests: they stay as
+the paper's surface, whose abstract promises that members "communicate
+with other members in the same group".  Each one that needs the group key
+raises ``StateError`` when its member or group holds none.
+
 Per-message identity-plus-integrity overhead for vehicle-originated
 traffic is a 42-byte pseudonym plus a 16-byte MAC: 58 bytes.
 """
@@ -34,7 +40,7 @@ from .crypto import (
     sym_decrypt,
     sym_encrypt,
 )
-from .errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
+from .errors import DecryptFail, EpochMismatch, FidAbsent, MacFail, StateError
 from .groupkey import GroupState, MemberState
 from .wire import Channel
 
@@ -128,7 +134,7 @@ def request_directory(
     params: SystemParams, member: MemberState, rng: random.Random
 ) -> wire.DirectoryRequest:
     if member.gk is None:
-        raise MacFail("requester holds no group key")
+        raise StateError("requester holds no group key")
     return Channel.derive(member.gk, b"gk").seal(
         params.element_width, wire.DirectoryRequest, (VVK_REQUEST, member.fid), rng
     )
@@ -147,6 +153,8 @@ def rsu_open_directory_request(
 def rsu_serve_directory(
     params: SystemParams, state: GroupState, rng: random.Random
 ) -> wire.DirectoryListing:
+    if state.gk is None:
+        raise StateError("no group key to seal the directory under")
     shares = tuple((rec.blind(params, state.gamma), fid) for fid, rec in state.members.items())
     return Channel.derive(state.gk, b"gk").seal(
         params.element_width, wire.DirectoryListing, (shares,), rng, state.epoch
@@ -199,6 +207,8 @@ def send_peer(
     payload: bytes,
     rng: random.Random,
 ) -> wire.PeerMessage:
+    if member.gk is None:
+        raise StateError("sender holds no group key")
     if channel.epoch != member.epoch:
         raise EpochMismatch("channel belongs to an old epoch")
     w = params.element_width
@@ -219,6 +229,8 @@ def recv_peer(
     msg: wire.PeerMessage,
 ) -> bytes:
     """Unwrap both layers; every check failure is typed."""
+    if member.gk is None:
+        raise StateError("receiver holds no group key")
     w = params.element_width
     recipient, sender, epoch, inner_ct, inner_mac = Channel.derive(member.gk, b"gk").open(w, msg)
     if recipient != member.fid:

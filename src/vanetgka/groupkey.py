@@ -19,9 +19,9 @@ as (prod_i g^lambda_i)^gamma: three exponentiations whatever the group
 size.  A leave broadcasts every remaining member's blinded share and
 their product under the previous GK, so the departed vehicle, which only
 ever knew its own lambda, cannot recover the new g^gamma: one evaluation
-of a member's powers table per remaining member.  Both draw the nonces of
-the seals a full rekey (``rsu_rekey``) would add, so runs keep their rng
-stream.
+of a member's powers table per remaining member.  Both also draw the
+nonces of the seals they leave out of a rekey that seals an update for
+every member and then a notice, so runs keep their rng stream.
 
 Updated group keys travel to neighbor RSUs encrypted under the
 RSU-to-RSU session key; the receiving side keeps a short per-source
@@ -137,45 +137,19 @@ def _new_epoch(
     return old_gk
 
 
-def _notice(
-    params: SystemParams, state: GroupState, old_gk: GElem, rng: random.Random
-) -> wire.GroupKeyNotice:
-    return Channel.derive(old_gk, b"gk").seal(
-        params.element_width, wire.GroupKeyNotice, (state.gk,), rng, state.epoch
-    )
-
-
 def _draw_unsent_nonces(rng: random.Random, count: int) -> None:
     """Draw the nonces of ``count`` seals that are not made.
 
     A join sends only the joiner's update and the notice, and a leave only
-    its ``LeaveUpdate``; a full rekey seals an update for every member and a
-    notice. Drawing the nonces of the seals left out keeps the rng stream,
-    and so every simulator report, byte-identical to sealing them all, until
-    the group-key desync fix (ROADMAP item 1) re-pins the reports and deletes
-    these draws. Each nonce is whole 32-bit words of the generator, so one
-    draw of all ``count`` nonces leaves it where ``count`` draws would."""
+    its ``LeaveUpdate``. Each draws, in member order, the nonces of the
+    updates it leaves out of a rekey that seals an update for every member
+    and then a notice, and a leave the notice's too. That keeps the rng
+    stream, and so every simulator report, byte-identical to sealing them
+    all, until the group-key desync fix (ROADMAP item 1) re-pins the reports
+    and deletes these draws. Each nonce is whole 32-bit words of the
+    generator, so one draw of all ``count`` nonces leaves it where ``count``
+    draws would."""
     rng.randbytes(SYM_NONCE_LEN * count)
-
-
-def rsu_rekey(params: SystemParams, state: GroupState, rng: random.Random) -> RekeyResult:
-    """Full rekey: fresh gamma, new GK, an update for every member, and a
-    notice under the previous GK if there was one."""
-    if not state.members:
-        raise StateError("cannot rekey an empty group")
-    gamma = rand_zq_star(rng, params.q)
-    blinded = {fid: rec.blind(params, gamma) for fid, rec in state.members.items()}
-    product = params.g_prod(blinded.values())
-    old_gk = _new_epoch(params, state, gamma, product)
-    w = params.element_width
-    updates = {
-        fid: Channel.derive(rec.n1, b"n1").seal(
-            w, wire.ShareUpdate, (blinded[fid], product), rng, state.epoch
-        )
-        for fid, rec in state.members.items()
-    }
-    notice = None if old_gk is None else _notice(params, state, old_gk, rng)
-    return RekeyResult(share_updates=updates, notice=notice)
 
 
 def handle_join(
@@ -208,7 +182,11 @@ def handle_join(
         rng,
         state.epoch,
     )
-    notice = None if old_gk is None else _notice(params, state, old_gk, rng)
+    notice = None
+    if old_gk is not None:
+        notice = Channel.derive(old_gk, b"gk").seal(
+            params.element_width, wire.GroupKeyNotice, (state.gk,), rng, state.epoch
+        )
     return RekeyResult(share_updates={session.fid: update}, notice=notice)
 
 

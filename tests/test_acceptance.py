@@ -26,7 +26,6 @@ from vanetgka.groupkey import (
     member_derive,
     member_derive_from_leave,
     member_offer,
-    rsu_rekey,
 )
 from vanetgka.registry import (
     refresh_vehicle_epoch,
@@ -36,6 +35,7 @@ from vanetgka.registry import (
     trace,
 )
 from vanetgka.sim import ScenarioConfig, Simulation, sweep_density
+from reference import rsu_rekey
 from scripted import ScriptedRng
 from test_sim import vehicle_send_overheads
 from wiregen import random_message

@@ -6,10 +6,9 @@ import pytest
 
 from vanetgka import costs
 from vanetgka.costs import (
-    DelaySample,
+    DelayMean,
     PrimitiveTimings,
     StepCharges,
-    average_delay,
     cost_table_rows,
     effective_rsu_delay,
     transmission_overhead,
@@ -168,45 +167,41 @@ def test_overhead_table():
 # --- average delay ------------------------------------------------------------------
 
 
+def mean_of(samples):
+    """The ``DelayMean`` of (creator, t_create, t_transmit, t_verify) tuples."""
+    mean = DelayMean()
+    for sample in samples:
+        mean.add(*sample)
+    return mean.value()
+
+
 def test_average_delay_single_message():
-    s = DelaySample("v1", 0, "rsu", 1.0, 2.0, 3.0)
-    assert average_delay([s]) == pytest.approx(6.0)
+    assert DelayMean().value() is None
+    assert mean_of([("v1", 1.0, 2.0, 3.0)]) == pytest.approx(6.0)
 
 
 def test_average_delay_double_mean():
     samples = [
-        DelaySample("v1", 0, "r", 1.0, 2.0, 3.0),  # 6
-        DelaySample("v1", 1, "r", 4.0, 4.0, 2.0),  # 10
-        DelaySample("v2", 0, "r", 1.0, 1.0, 2.0),  # 4
+        ("v1", 1.0, 2.0, 3.0),  # 6
+        ("v1", 4.0, 4.0, 2.0),  # 10
+        ("v2", 1.0, 1.0, 2.0),  # 4
     ]
-    assert average_delay(samples) == pytest.approx((8.0 + 4.0) / 2)
+    assert mean_of(samples) == pytest.approx((8.0 + 4.0) / 2)
 
 
 def test_average_delay_all_zero():
-    samples = [DelaySample("v1", i, "r", 0.0, 0.0, 0.0) for i in range(5)]
-    assert average_delay(samples) == 0.0
-
-
-def test_average_delay_empty_rejected():
-    with pytest.raises(ValueError):
-        average_delay([])
-
-
-def test_average_delay_negative_rejected():
-    with pytest.raises(ValueError):
-        average_delay([DelaySample("v", 0, "r", -1.0, 0.0, 0.0)])
+    assert mean_of([("v1", 0.0, 0.0, 0.0)] * 5) == 0.0
 
 
 def test_average_delay_permutation_invariant():
     rng = random.Random(1)
     samples = [
-        DelaySample(f"v{rng.randrange(5)}", i, "r", rng.random(), rng.random(), rng.random())
-        for i in range(50)
+        (f"v{rng.randrange(5)}", rng.random(), rng.random(), rng.random()) for _ in range(50)
     ]
-    base = average_delay(samples)
+    base = mean_of(samples)
     for _ in range(10):
         rng.shuffle(samples)
-        assert math.isclose(average_delay(samples), base, rel_tol=1e-12)
+        assert math.isclose(mean_of(samples), base, rel_tol=1e-12)
 
 
 # --- table export ---------------------------------------------------------------------

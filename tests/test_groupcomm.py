@@ -5,7 +5,7 @@ import pytest
 from vanetgka import wire
 from vanetgka.auth import AuthSession, AuthState
 from vanetgka.crypto import get_profile, hmac_tag, kdf
-from vanetgka.errors import DecryptFail, EpochMismatch, FidAbsent, MacFail
+from vanetgka.errors import DecryptFail, EpochMismatch, FidAbsent, MacFail, StateError
 from vanetgka.groupcomm import (
     OBU_TO_RSU_TYPES,
     VVK_REQUEST,
@@ -30,8 +30,8 @@ from vanetgka.groupkey import (
     member_apply_notice,
     member_derive,
     member_offer,
-    rsu_rekey,
 )
+from reference import rsu_rekey
 from scripted import ScriptedRng
 from wiregen import random_message
 
@@ -136,6 +136,19 @@ def test_directory_request_from_outsider_rejected(group):
     req = request_directory(params, outsider, rng)
     with pytest.raises(MacFail):
         rsu_open_directory_request(params, state.gk, req)
+
+
+def test_directory_request_without_a_group_key_is_a_state_error(group):
+    params, state, mstates = group
+    keyless = MemberState(fid=mstates[0].fid, n1=mstates[0].n1, lam=mstates[0].lam)
+    with pytest.raises(StateError):
+        request_directory(params, keyless, random.Random(7))
+
+
+def test_serving_the_directory_without_a_group_key_is_a_state_error():
+    params = get_profile("small64")
+    with pytest.raises(StateError):
+        rsu_serve_directory(params, GroupState(), random.Random(8))
 
 
 def test_directory_lists_every_member(group):
@@ -271,6 +284,34 @@ def test_peer_epoch_mismatch_refused(group):
         send_peer(params, stale, ch, b"x", rng)
     with pytest.raises(EpochMismatch):
         derive_vvk(params, stale, fid_of(1), directory, listing.epoch)
+
+
+def test_sending_a_peer_message_without_a_group_key_is_a_state_error(group):
+    params, state, mstates = group
+    rng = random.Random(13)
+    listing = rsu_serve_directory(params, state, rng)
+    directory = open_directory(params, mstates[0].gk, listing)
+    ch = derive_vvk(params, mstates[0], fid_of(1), directory, listing.epoch)
+    keyless = MemberState(
+        fid=mstates[0].fid, n1=mstates[0].n1, lam=mstates[0].lam, epoch=mstates[0].epoch
+    )
+    with pytest.raises(StateError):
+        send_peer(params, keyless, ch, b"x", rng)
+
+
+def test_receiving_a_peer_message_without_a_group_key_is_a_state_error(group):
+    params, state, mstates = group
+    rng = random.Random(13)
+    listing = rsu_serve_directory(params, state, rng)
+    directory = open_directory(params, mstates[0].gk, listing)
+    ch_01 = derive_vvk(params, mstates[0], fid_of(1), directory, listing.epoch)
+    ch_10 = derive_vvk(params, mstates[1], fid_of(0), directory, listing.epoch)
+    msg = send_peer(params, mstates[0], ch_01, b"x", rng)
+    keyless = MemberState(
+        fid=mstates[1].fid, n1=mstates[1].n1, lam=mstates[1].lam, epoch=mstates[1].epoch
+    )
+    with pytest.raises(StateError):
+        recv_peer(params, keyless, ch_10, msg)
 
 
 # --- overhead accounting --------------------------------------------------------------

@@ -5,9 +5,11 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetgka import groupcomm, groupkey, wire
-from vanetgka.costs import PrimitiveTimings, average_delay, effective_rsu_delay
+from vanetgka.costs import DelayMean, PrimitiveTimings, effective_rsu_delay
 from vanetgka.sim import (
     MetricsReport,
     ScenarioConfig,
@@ -157,22 +159,59 @@ def test_overhead_is_58_per_vehicle_message():
     assert report.total_overhead_bytes == 58 * len(overheads)
 
 
-def test_conservation_deliveries_do_not_exceed_fanout():
-    # every delivery entry scheduled by a send arrives by end_ms, so
-    # deliveries equal the receivers of the scheduled entries exactly
-    sim = Simulation(FAST)
-    scheduled = []
-    push = sim._push
+def mean_of(samples):
+    """The ``DelayMean`` of the kept samples, added in the order they came."""
+    mean = DelayMean()
+    for s in samples:
+        mean.add(s.creator, s.t_create, s.t_transmit, s.t_verify)
+    return mean.value()
 
-    def counting_push(time_ms, handler, *args):
-        if handler is Simulation._on_delivery:
-            scheduled.append(args[3])
-        push(time_ms, handler, *args)
 
-    sim._push = counting_push
-    sim.run()
-    assert sim.messages_sent > 0
-    assert sim.messages_delivered == sum(len(receivers) for receivers in scheduled)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+    n_rsus=st.integers(1, 3),
+    illegal=st.floats(0.0, 1.0),
+    speed=st.floats(1.0, 40.0),
+    delta_max_ms=st.floats(1.0, 1000.0),
+    sim_time_s=st.floats(0.1, 3.0),
+)
+def test_conservation_deliveries_do_not_exceed_fanout(
+    n, seed, n_rsus, illegal, speed, delta_max_ms, sim_time_s
+):
+    """Every delivery entry scheduled by a send arrives by end_ms, so
+    deliveries equal the receivers of the scheduled entries exactly; a run
+    is a function of its config, and the report's delay is the kept
+    samples' mean."""
+    cfg = ScenarioConfig(
+        crypto_profile="small64",
+        n_vehicles=n,
+        n_rsus=n_rsus,
+        rng_seed=seed,
+        illegal_fraction=illegal,
+        vehicle_speed_mps=speed,
+        delta_max_ms=delta_max_ms,
+        sim_time_s=sim_time_s,
+    )
+    runs = []
+    for _ in range(2):
+        sim = Simulation(cfg, keep_samples=True)
+        scheduled = []
+        push = sim._push
+
+        def counting_push(time_ms, handler, *args):
+            if handler is Simulation._on_delivery:
+                scheduled.append(args[3])
+            push(time_ms, handler, *args)
+
+        sim._push = counting_push
+        report = sim.run()
+        assert sim.messages_delivered == sum(len(receivers) for receivers in scheduled)
+        assert mean_of(sim.samples) == report.average_delay_ms
+        counters = (sim.messages_sent, sim.messages_delivered, sim.incomplete_associations)
+        runs.append((report, sim.drops, counters))
+    assert runs[0] == runs[1]
 
 
 def test_one_send_is_one_heap_entry_and_one_delivery_per_receiver():
@@ -270,7 +309,7 @@ def test_streamed_average_matches_reference_metric():
     # both sum in the same order, so they agree to the last bit
     sim = Simulation(dataclasses.replace(FAST, n_vehicles=4, rng_seed=9), keep_samples=True)
     report = sim.run()
-    assert report.average_delay_ms == average_delay(sim.samples)
+    assert report.average_delay_ms == mean_of(sim.samples)
 
 
 def _joined_vehicle(sim):
