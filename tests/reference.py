@@ -1,10 +1,9 @@
 """A reference model of the full rekey, shared by the group-key tests.
 
-``rsu_rekey`` seals a fresh update for every member and a notice, as the
-protocol first described a rekey. The package's join and leave send less,
-but draw from the rng as this model does, so the tests compare their bytes
-against it. It is written against the public API only, independently of the
-package's own rekey code.
+``rsu_rekey`` seals a fresh update for every member and then a notice. The
+package's join and leave send less, but draw from the rng as this model
+does, so the tests compare their bytes against it. It is written against
+the public API only, independently of the package's own rekey code.
 """
 
 from vanetgka import wire

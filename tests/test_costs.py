@@ -7,6 +7,7 @@ import pytest
 from vanetgka import costs
 from vanetgka.costs import (
     DelayMean,
+    DelaySample,
     PrimitiveTimings,
     StepCharges,
     cost_table_rows,
@@ -168,35 +169,38 @@ def test_overhead_table():
 
 
 def mean_of(samples):
-    """The ``DelayMean`` of (creator, t_create, t_transmit, t_verify) tuples."""
+    """The ``DelayMean`` of ``DelaySample``s, added in the order they come."""
     mean = DelayMean()
-    for sample in samples:
-        mean.add(*sample)
+    for s in samples:
+        mean.add(s.creator, s.t_create, s.t_transmit, s.t_verify)
     return mean.value()
 
 
 def test_average_delay_single_message():
-    assert DelayMean().value() is None
-    assert mean_of([("v1", 1.0, 2.0, 3.0)]) == pytest.approx(6.0)
+    assert mean_of([]) is None
+    s = DelaySample("v1", 0, "rsu", 1.0, 2.0, 3.0)
+    assert mean_of([s]) == pytest.approx(6.0)
 
 
 def test_average_delay_double_mean():
     samples = [
-        ("v1", 1.0, 2.0, 3.0),  # 6
-        ("v1", 4.0, 4.0, 2.0),  # 10
-        ("v2", 1.0, 1.0, 2.0),  # 4
+        DelaySample("v1", 0, "r", 1.0, 2.0, 3.0),  # 6
+        DelaySample("v1", 1, "r", 4.0, 4.0, 2.0),  # 10
+        DelaySample("v2", 0, "r", 1.0, 1.0, 2.0),  # 4
     ]
     assert mean_of(samples) == pytest.approx((8.0 + 4.0) / 2)
 
 
 def test_average_delay_all_zero():
-    assert mean_of([("v1", 0.0, 0.0, 0.0)] * 5) == 0.0
+    samples = [DelaySample("v1", i, "r", 0.0, 0.0, 0.0) for i in range(5)]
+    assert mean_of(samples) == 0.0
 
 
 def test_average_delay_permutation_invariant():
     rng = random.Random(1)
     samples = [
-        (f"v{rng.randrange(5)}", rng.random(), rng.random(), rng.random()) for _ in range(50)
+        DelaySample(f"v{rng.randrange(5)}", i, "r", rng.random(), rng.random(), rng.random())
+        for i in range(50)
     ]
     base = mean_of(samples)
     for _ in range(10):

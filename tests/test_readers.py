@@ -30,10 +30,6 @@ PAPER_SURFACE = {
 }
 
 
-def _is_test_file(path: Path) -> bool:
-    return path.name.startswith("test_") or path.name == "conftest.py"
-
-
 def _definitions() -> dict[str, str]:
     """Module-level functions and classes, and their methods: name -> where."""
     found = {}
@@ -53,7 +49,7 @@ def _references() -> set[str]:
     names = set()
     for top in ("src", "perfbench", "tools"):
         for path in (ROOT / top).rglob("*.py"):
-            if _is_test_file(path):
+            if path.name.startswith("test_") or path.name == "conftest.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetgka import groupcomm, groupkey, wire
-from vanetgka.costs import DelayMean, PrimitiveTimings, effective_rsu_delay
+from vanetgka.costs import PrimitiveTimings, effective_rsu_delay
 from vanetgka.sim import (
     MetricsReport,
     ScenarioConfig,
@@ -20,6 +20,7 @@ from vanetgka.sim import (
     sweep_density,
     write_sweep_csv,
 )
+from test_costs import mean_of
 from wiregen import count_crypto_calls
 
 # the small64 profile keeps unit-test runs quick; the acceptance suite
@@ -157,14 +158,6 @@ def test_overhead_is_58_per_vehicle_message():
     assert len(overheads) > 0
     assert set(overheads) == {58}
     assert report.total_overhead_bytes == 58 * len(overheads)
-
-
-def mean_of(samples):
-    """The ``DelayMean`` of the kept samples, added in the order they came."""
-    mean = DelayMean()
-    for s in samples:
-        mean.add(s.creator, s.t_create, s.t_transmit, s.t_verify)
-    return mean.value()
 
 
 @settings(max_examples=40, deadline=None)
